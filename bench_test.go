@@ -390,38 +390,6 @@ func BenchmarkSpeculativePass(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedSpeculation measures the sharded speculative pass at
-// shard counts 1/2/4 with chains scaled to 4×shards, on the gcc trace
-// with the stride predictor — the predictor whose tables shard across
-// all three value categories, so the unit count (3s+1) and the chain
-// ceiling both grow with the shard count. Results are byte-identical by
-// the differential battery; this records how far past the four-unit
-// chain ceiling of the unsharded pass the shard split scales.
-func BenchmarkShardedSpeculation(b *testing.B) {
-	tr := benchTrace(b)
-	cfg := dpg.Config{
-		Predictor:     predictor.KindStride.Factory(),
-		PredictorName: "stride",
-	}
-	for _, shards := range []int{1, 2, 4} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards%d_chains%d", shards, 4*shards), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(tr.Len()))
-			for i := 0; i < b.N; i++ {
-				var st dpg.SpecStats
-				sc := dpg.SpecConfig{Workers: 4 * shards, Shards: shards, Stats: &st}
-				if _, err := dpg.RunSpeculative(tr, cfg, sc); err != nil {
-					b.Fatal(err)
-				}
-				if st.Fallback || st.Diverged != 0 || st.Shards != shards {
-					b.Fatalf("implausible speculation stats %+v", st)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkGraphWorkloads measures the model pass over the graph scenario
 // pack (bfs/pgr/ccp — branches on loaded adjacency values) with the
 // predictors added for it (tage, ldbp). Bytes/s are events/s; the gate

@@ -58,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget before jobs are cancelled")
 	maxUpload := fs.Int64("max-upload", 1<<30, "maximum upload size in bytes")
 	speculate := fs.Int("speculate", 2, "epoch-speculation degree for normal-mode jobs (<=1 disables)")
-	shards := fs.Int("shards", 0, "key shards per predictor category for speculative jobs, scaling chains to 4×N (0 = off, -1 = auto)")
 	degradedAt := fs.Float64("degraded-at", 0.5, "queue-fill fraction past which jobs run degraded")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -85,7 +84,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		JobTimeout:     *jobTimeout,
 		MaxUploadBytes: *maxUpload,
 		Speculation:    spec,
-		Shards:         *shards,
 		DegradedAt:     *degradedAt,
 	})
 	if err != nil {

@@ -58,7 +58,6 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent trace-decode workers per file (0 = all cores, 1 = sequential)")
 	parallel := flag.Int("parallel", 0, "concurrent files in directory/glob mode (0 = all cores)")
 	speculate := flag.Int("speculate", 0, "run the model pass epoch-speculatively with N predictor chains (0 = off, -1 = auto); results are identical, only faster")
-	shards := flag.Int("shards", 0, "split speculative predictor state into N key shards per category, scaling chains to 4×N (0 = off, -1 = auto); implies -speculate, results are identical")
 	merge := flag.Bool("merge", false, "directory mode: merge every file's Result into one exact aggregate report instead of per-file summaries")
 	flag.Parse()
 
@@ -83,16 +82,16 @@ func main() {
 	case *merge && *tracePat == "":
 		fail("-merge needs -trace naming a directory of .dpg files")
 	case *merge:
-		runMerged(ctx, *tracePat, kinds, *strict, *workers, *parallel, *speculate, *shards)
+		runMerged(ctx, *tracePat, kinds, *strict, *workers, *parallel, *speculate)
 	case *tracePat != "":
 		paths := expandTraces(*tracePat)
 		if len(paths) == 1 {
-			runFile(ctx, paths[0], kinds, *graph, *strict, *workers, *speculate, *shards)
+			runFile(ctx, paths[0], kinds, *graph, *strict, *workers, *speculate)
 			return
 		}
-		runFiles(ctx, paths, kinds, *strict, *workers, *parallel, *speculate, *shards)
+		runFiles(ctx, paths, kinds, *strict, *workers, *parallel, *speculate)
 	case *workload != "":
-		runWorkload(ctx, *workload, *rounds, kinds, *graph, *speculate, *shards)
+		runWorkload(ctx, *workload, *rounds, kinds, *graph, *speculate)
 	default:
 		fail("missing -trace or -workload")
 	}
@@ -116,7 +115,7 @@ func expandTraces(pat string) []string {
 }
 
 // fileOpts assembles the streaming options shared by both file modes.
-func fileOpts(ctx context.Context, k predictor.Kind, graph int, strict bool, workers, speculate, shards int) []core.Option {
+func fileOpts(ctx context.Context, k predictor.Kind, graph int, strict bool, workers, speculate int) []core.Option {
 	opts := []core.Option{core.WithKind(k), core.WithWorkers(workers), core.WithContext(ctx)}
 	if graph > 0 {
 		opts = append(opts, core.WithGraphLimit(graph))
@@ -124,29 +123,17 @@ func fileOpts(ctx context.Context, k predictor.Kind, graph int, strict bool, wor
 	if !strict {
 		opts = append(opts, core.WithLenientTrace())
 	}
-	opts = append(opts, specOpts(speculate, shards)...)
+	opts = append(opts, specOpts(speculate)...)
 	return opts
 }
 
-// specOpts translates -speculate and -shards: 0 is off, negative is
-// automatic, positive is explicit. -shards alone implies speculation.
-func specOpts(speculate, shards int) []core.Option {
-	var opts []core.Option
-	if speculate != 0 {
-		n := speculate
-		if n < 0 {
-			n = 0 // auto
-		}
-		opts = append(opts, core.WithSpeculation(n))
+// specOpts translates -speculate: 0 is off, negative is automatic,
+// positive is explicit.
+func specOpts(speculate int) []core.Option {
+	if speculate == 0 {
+		return nil
 	}
-	if shards != 0 {
-		n := shards
-		if n < 0 {
-			n = 0 // auto
-		}
-		opts = append(opts, core.WithSpecShards(n))
-	}
-	return opts
+	return []core.Option{core.WithSpeculation(max(speculate, 0))}
 }
 
 // printSpecStats summarises a speculative run on stderr, out of band of
@@ -156,26 +143,22 @@ func printSpecStats(st dpg.SpecStats) {
 		fmt.Fprintf(os.Stderr, "dpgrun: speculation: predictor has no checkpoint support, ran sequentially\n")
 		return
 	}
-	sharding := ""
-	if st.Shards > 1 {
-		sharding = fmt.Sprintf(" over %d unit shards (%d-way)", st.Units, st.Shards)
-	}
-	fmt.Fprintf(os.Stderr, "dpgrun: speculation: %d epochs on %d chains%s, %d diverged, %d replayed (%d replay epochs), %d abandoned\n",
-		st.Epochs, st.Chains, sharding, st.Diverged, st.Replayed, st.ReplayEpochs, st.Abandoned)
+	fmt.Fprintf(os.Stderr, "dpgrun: speculation: %d epochs on %d chains, %d diverged, %d replayed (%d replay epochs), %d abandoned\n",
+		st.Epochs, st.Chains, st.Diverged, st.Replayed, st.ReplayEpochs, st.Abandoned)
 }
 
 // runFile streams one trace file through the pass pipeline, once per
 // predictor, printing the same header and per-predictor report as the
 // workload mode.
-func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int, strict bool, workers, speculate, shards int) {
+func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int, strict bool, workers, speculate int) {
 	headerDone := false
 	for i, k := range kinds {
 		var ps dpg.PreStats
 		var st trace.Stats
 		var ss dpg.SpecStats
-		opts := append(fileOpts(ctx, k, graph, strict, workers, speculate, shards),
+		opts := append(fileOpts(ctx, k, graph, strict, workers, speculate),
 			core.WithPreStats(&ps), core.WithTraceStats(&st))
-		if speculate != 0 || shards != 0 {
+		if speculate != 0 {
 			opts = append(opts, core.WithSpecStats(&ss))
 		}
 		r, err := core.AnalyzeFile(path, opts...)
@@ -185,7 +168,7 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 		if err != nil {
 			fail(err.Error())
 		}
-		if speculate != 0 || shards != 0 {
+		if speculate != 0 {
 			printSpecStats(ss)
 		}
 		if !headerDone {
@@ -206,7 +189,7 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 // AnalyzeFiles sweep per predictor, and prints per-file summary lines in
 // file-major order. Any per-file failure turns into a non-zero exit after
 // every file has been reported.
-func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, strict bool, workers, parallel, speculate, shards int) {
+func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, strict bool, workers, parallel, speculate int) {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
@@ -214,7 +197,7 @@ func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, stric
 	for i, k := range kinds {
 		// No WithSpecStats here: one options slice serves every concurrent
 		// file, and a shared stats pointer would race.
-		byKind[i] = core.AnalyzeFiles(paths, parallel, fileOpts(ctx, k, 0, strict, workers, speculate, shards)...)
+		byKind[i] = core.AnalyzeFiles(paths, parallel, fileOpts(ctx, k, 0, strict, workers, speculate)...)
 	}
 	failed, interrupted := 0, 0
 	for fi, path := range paths {
@@ -257,8 +240,8 @@ func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, stric
 // runMerged analyzes every .dpg file in a directory and reports one exact
 // aggregate per predictor (core.AnalyzeDir): the merged Result is
 // byte-identical to what a single analysis of the concatenated populations
-// would report, regardless of fan-out, decode, or sharding configuration.
-func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict bool, workers, parallel, speculate, shards int) {
+// would report, regardless of fan-out, decode, or speculation configuration.
+func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict bool, workers, parallel, speculate int) {
 	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
 		fail(fmt.Sprintf("-merge needs a directory of .dpg files; %q is not one", dir))
 	}
@@ -267,7 +250,7 @@ func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict b
 	}
 	headerDone := false
 	for i, k := range kinds {
-		res, files, err := core.AnalyzeDir(dir, parallel, fileOpts(ctx, k, 0, strict, workers, speculate, shards)...)
+		res, files, err := core.AnalyzeDir(dir, parallel, fileOpts(ctx, k, 0, strict, workers, speculate)...)
 		if errors.Is(err, core.ErrAborted) {
 			failInterrupted(i, len(kinds))
 		}
@@ -286,7 +269,7 @@ func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict b
 // runWorkload traces a built-in workload in memory and runs the model —
 // the only dpgrun mode that materializes a trace (the generator produces
 // one directly).
-func runWorkload(ctx context.Context, name string, rounds int, kinds []predictor.Kind, graph, speculate, shards int) {
+func runWorkload(ctx context.Context, name string, rounds int, kinds []predictor.Kind, graph, speculate int) {
 	w, ok := workloads.ByName(name)
 	if !ok {
 		fail(fmt.Sprintf("unknown workload %q; known: %v", name, workloads.Names()))
@@ -308,15 +291,15 @@ func runWorkload(ctx context.Context, name string, rounds int, kinds []predictor
 		}
 		var ss dpg.SpecStats
 		opts := []core.Option{core.WithKind(k), core.WithGraphLimit(graph)}
-		opts = append(opts, specOpts(speculate, shards)...)
-		if speculate != 0 || shards != 0 {
+		opts = append(opts, specOpts(speculate)...)
+		if speculate != 0 {
 			opts = append(opts, core.WithSpecStats(&ss))
 		}
 		res, err := core.RunTrace(t, opts...)
 		if err != nil {
 			fail(err.Error())
 		}
-		if speculate != 0 || shards != 0 {
+		if speculate != 0 {
 			printSpecStats(ss)
 		}
 		printResult(res)

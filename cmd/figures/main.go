@@ -23,7 +23,6 @@ func main() {
 	parallel := flag.Int("parallel", 4, "concurrent model runs during precompute")
 	traceDir := flag.String("tracedir", "", "stream pre-generated <name>.dpg trace files from this directory instead of regenerating workloads in memory; every experiment shares one decode per trace (fused observer fan-out)")
 	workers := flag.Int("workers", 0, "concurrent decode workers per streamed trace file with -tracedir (0 = all cores)")
-	shards := flag.Int("shards", 0, "run in-memory model passes epoch-speculatively with N key shards per predictor category (0 = off, -1 = auto); figures are identical, only faster")
 	paper := flag.Bool("paper", false, "restrict to the source paper's corpus: 12 SPEC95-modeled workloads x 3 predictors (default: extended corpus with graph workloads and tage/ldbp)")
 	verbose := flag.Bool("v", false, "print progress while running")
 	list := flag.Bool("list", false, "list experiment ids and exit")
@@ -37,7 +36,7 @@ func main() {
 		return
 	}
 
-	cfg := core.SuiteConfig{Scale: *scale, Seed: *seed, Parallel: *parallel, SpecShards: *shards, PaperCorpus: *paper}
+	cfg := core.SuiteConfig{Scale: *scale, Seed: *seed, Parallel: *parallel, PaperCorpus: *paper}
 	if *traceDir != "" {
 		cfg.TraceFile = core.TraceDir(*traceDir)
 		cfg.Workers = *workers

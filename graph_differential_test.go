@@ -23,9 +23,8 @@ var graphKinds = []predictor.Kind{predictor.KindTAGE, predictor.KindLDBP}
 // scenario pack: for every graph workload × new predictor, the sequential
 // in-memory Result is the single source of truth, and every other
 // execution strategy — file analysis at several decode worker counts, over
-// both codecs, the epoch-speculative pass with and without explicit epoch
-// shaping, and the sharded speculative pass at 1/2/4 shards — must
-// reproduce it byte for byte. The directory-merge coordinator over the
+// both codecs, and the epoch-speculative pass — must reproduce it byte
+// for byte. The directory-merge coordinator over the
 // full graph trace set must equal hand-merging the per-file analyses.
 func TestGraphDifferentialBattery(t *testing.T) {
 	if testing.Short() {
@@ -78,42 +77,20 @@ func TestGraphDifferentialBattery(t *testing.T) {
 				}
 			}
 
-			// Epoch-speculative pass, with and without explicit epochs.
-			for _, epochs := range []int{0, 7} {
-				opts := []core.Option{core.WithKind(kind), core.WithSpeculation(4)}
-				if epochs > 0 {
-					opts = append(opts, core.WithSpeculationEpochs(epochs))
-				}
-				var st dpg.SpecStats
-				got, err := core.RunTrace(tr, append(opts, core.WithSpecStats(&st))...)
-				if err != nil {
-					t.Fatalf("%s/%s epochs=%d: %v", name, kind, epochs, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s epochs=%d: speculative Result diverges from sequential", name, kind, epochs)
-				}
-				if st.Fallback {
-					t.Errorf("%s/%s: speculation fell back — predictor lost its Checkpointer?", name, kind)
-				}
-				if st.Diverged != 0 || st.Replayed != 0 {
-					t.Errorf("%s/%s epochs=%d: spurious divergence: %+v", name, kind, epochs, st)
-				}
+			// Epoch-speculative pass.
+			var st dpg.SpecStats
+			got, err := core.RunTrace(tr, core.WithKind(kind), core.WithSpeculation(4), core.WithSpecStats(&st))
+			if err != nil {
+				t.Fatalf("%s/%s speculative: %v", name, kind, err)
 			}
-
-			// Sharded speculative pass at 1/2/4 shards.
-			for _, shards := range []int{1, 2, 4} {
-				var st dpg.SpecStats
-				got, err := core.RunTrace(tr, core.WithKind(kind),
-					core.WithSpecShards(shards), core.WithSpecStats(&st))
-				if err != nil {
-					t.Fatalf("%s/%s shards=%d: %v", name, kind, shards, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s shards=%d: sharded Result diverges from sequential", name, kind, shards)
-				}
-				if st.Shards != shards {
-					t.Errorf("%s/%s: effective shards %d, want %d", name, kind, st.Shards, shards)
-				}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: speculative Result diverges from sequential", name, kind)
+			}
+			if st.Fallback {
+				t.Errorf("%s/%s: speculation fell back — predictor lost its Checkpointer?", name, kind)
+			}
+			if st.Diverged != 0 || st.Replayed != 0 {
+				t.Errorf("%s/%s: spurious divergence: %+v", name, kind, st)
 			}
 		}
 	}
@@ -139,7 +116,7 @@ func TestGraphDifferentialBattery(t *testing.T) {
 			t.Fatal(err)
 		}
 		want.Name = filepath.Base(dir)
-		got, perFile, err := core.AnalyzeDir(dir, 3, core.WithKind(kind), core.WithSpecShards(2))
+		got, perFile, err := core.AnalyzeDir(dir, 3, core.WithKind(kind), core.WithSpeculation(2))
 		if err != nil {
 			t.Fatal(err)
 		}

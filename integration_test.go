@@ -90,22 +90,6 @@ func TestCLIPipeline(t *testing.T) {
 		t.Errorf("dpgrun -speculate stderr missing stats line: %q", specErr.String())
 	}
 
-	// dpgrun -shards (implying -speculate) also matches the sequential
-	// stdout byte for byte, and its stats line reports the shard split.
-	shardCmd := exec.Command(filepath.Join(bin, "dpgrun"), "-trace", tracePath, "-predictor", "stride", "-shards", "2")
-	var shardErr bytes.Buffer
-	shardCmd.Stderr = &shardErr
-	shardOut, err := shardCmd.Output()
-	if err != nil {
-		t.Fatalf("dpgrun -shards: %v\n%s", err, shardErr.String())
-	}
-	if !bytes.Equal(seqOut, shardOut) {
-		t.Errorf("dpgrun -shards stdout differs from sequential run")
-	}
-	if !strings.Contains(shardErr.String(), "unit shards") {
-		t.Errorf("dpgrun -shards stderr missing shard stats: %q", shardErr.String())
-	}
-
 	// tracegen -compress: the compressed file is smaller, reports its codec,
 	// and dpgrun consumes it with no special flags (readers auto-detect).
 	plainInfo, err := os.Stat(tracePath)
@@ -131,7 +115,7 @@ func TestCLIPipeline(t *testing.T) {
 
 	// dpgrun -merge aggregates the directory (one plain + one compressed
 	// trace at this point) into a single exact report.
-	out = run("dpgrun", "-merge", "-trace", work, "-predictor", "stride", "-shards", "2")
+	out = run("dpgrun", "-merge", "-trace", work, "-predictor", "stride", "-speculate", "2")
 	for _, want := range []string{"merged 2 trace file(s)", "predictor: stride", "Table 1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dpgrun -merge output missing %q:\n%s", want, out)
@@ -234,8 +218,7 @@ func TestCompressionDifferentialWorkloads(t *testing.T) {
 
 // TestSpeculationIntegrationSweep is the acceptance differential for the
 // epoch-speculative pass at the file level: across real workloads × codecs
-// × decode worker counts × speculation chain counts × epoch shapes, the
-// full AnalyzeFile result under WithSpeculation must equal the sequential
+// × decode worker counts × speculation chain counts, the full AnalyzeFile result under WithSpeculation must equal the sequential
 // analysis of the same file exactly — compression, parallel decode and
 // speculative execution composing freely.
 func TestSpeculationIntegrationSweep(t *testing.T) {
@@ -262,39 +245,22 @@ func TestSpeculationIntegrationSweep(t *testing.T) {
 				t.Fatalf("%s/%s baseline: %v", name, codec, err)
 			}
 			for _, decode := range []int{0, 2} {
-				for _, shape := range []struct{ chains, shards int }{
-					{1, 0}, {4, 0}, {2, 2}, {0, 4},
-				} {
-					for _, epochs := range []int{0, 7} {
-						label := fmt.Sprintf("%s/%s/decode%d/chains%d/shards%d/epochs%d",
-							name, codec, decode, shape.chains, shape.shards, epochs)
-						opts := []core.Option{core.WithKind(predictor.KindContext)}
-						if shape.chains > 0 {
-							opts = append(opts, core.WithSpeculation(shape.chains))
-						}
-						if shape.shards > 0 {
-							opts = append(opts, core.WithSpecShards(shape.shards))
-						}
-						if decode > 0 {
-							opts = append(opts, core.WithWorkers(decode))
-						}
-						if epochs > 0 {
-							opts = append(opts, core.WithSpeculationEpochs(epochs))
-						}
-						var st dpg.SpecStats
-						got, err := core.AnalyzeFile(path, append(opts, core.WithSpecStats(&st))...)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s: speculative result differs from sequential", label)
-						}
-						if st.Fallback || st.Diverged != 0 || st.Epochs == 0 {
-							t.Fatalf("%s: implausible stats %+v", label, st)
-						}
-						if shape.shards > 0 && st.Shards != shape.shards {
-							t.Fatalf("%s: effective shards %d, want %d", label, st.Shards, shape.shards)
-						}
+				for _, chains := range []int{0, 1, 2, 4} {
+					label := fmt.Sprintf("%s/%s/decode%d/chains%d", name, codec, decode, chains)
+					opts := []core.Option{core.WithKind(predictor.KindContext), core.WithSpeculation(chains)}
+					if decode > 0 {
+						opts = append(opts, core.WithWorkers(decode))
+					}
+					var st dpg.SpecStats
+					got, err := core.AnalyzeFile(path, append(opts, core.WithSpecStats(&st))...)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: speculative result differs from sequential", label)
+					}
+					if st.Fallback || st.Diverged != 0 || st.Epochs == 0 {
+						t.Fatalf("%s: implausible stats %+v", label, st)
 					}
 				}
 			}
@@ -303,7 +269,7 @@ func TestSpeculationIntegrationSweep(t *testing.T) {
 
 	// Capstone: the directory-merge coordinator over the full mixed-codec
 	// spread (three workloads × two codecs) equals hand-merging the
-	// sequential per-file analyses — sharding and fan-out included.
+	// sequential per-file analyses — speculation and fan-out included.
 	paths, err := filepath.Glob(filepath.Join(dir, "*.dpg"))
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("globbing sweep traces: %v (%d files)", err, len(paths))
@@ -323,7 +289,7 @@ func TestSpeculationIntegrationSweep(t *testing.T) {
 	}
 	want.Name = filepath.Base(dir)
 	got, files, err := core.AnalyzeDir(dir, 3,
-		core.WithKind(predictor.KindContext), core.WithSpecShards(2))
+		core.WithKind(predictor.KindContext), core.WithSpeculation(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,9 +157,11 @@ func TestAnalyzeFileCancelMidDecode(t *testing.T) {
 // checks the pass aborts with the typed error and reclaims every chain
 // goroutine.
 func TestAnalyzeFileCancelMidSpeculation(t *testing.T) {
-	path := writeWorkloadTrace(t, "fig1", 20)
+	// 100 rounds of fig1 span two default-length epochs, so the chains
+	// are working on the first while the second is still being read.
+	path := writeWorkloadTrace(t, "fig1", 100)
 	base := runtime.NumGoroutine()
-	opts := []Option{WithKind(predictor.KindLast), WithSpeculation(2), WithSpeculationEpochs(8)}
+	opts := []Option{WithKind(predictor.KindLast), WithSpeculation(2)}
 	const budget = 1 << 30
 	probe := newTripCtx(budget)
 	if _, err := AnalyzeFile(path, append(opts[:len(opts):len(opts)], WithContext(probe))...); err != nil {

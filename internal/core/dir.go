@@ -33,8 +33,8 @@ const maxDirPasses = 8
 // per-trace Results into one exact aggregate. The directory is walked as a
 // stream — entries are read in batches and each *.dpg file is dispatched
 // to the bounded worker pool (up to parallel concurrent analyses, each of
-// which may itself run sharded speculative chains under WithSpecShards) as
-// soon as its batch arrives, so analysis overlaps the walk and the full
+// which may itself run speculative chains under WithSpeculation) as soon
+// as its batch arrives, so analysis overlaps the walk and the full
 // listing is never materialized. Files that appear while the walk is in
 // progress are picked up by catch-up rescans that repeat until a full
 // pass discovers nothing new (bounded by maxDirPasses), each file analysed
@@ -42,7 +42,7 @@ const maxDirPasses = 8
 // exact summation — every count and histogram of the aggregate equals what
 // a single Result over the concatenated populations would hold — and the
 // merge folds in sorted path order, so the aggregate is independent of
-// discovery order and of the parallel/sharding configuration.
+// discovery order and of the parallel/speculation configuration.
 //
 // The per-file outcomes are always returned (in sorted path order) for
 // inspection alongside the aggregate. Any per-file failure fails the whole

@@ -42,7 +42,7 @@ func writeTraceDir(t *testing.T, names ...string) (string, []string) {
 
 // TestAnalyzeDirMergeParity is the directory-merge differential: the
 // aggregate AnalyzeDir computes — under any mix of fan-out parallelism,
-// decode workers, and sharded speculation — must be byte-identical to
+// decode workers, and speculation — must be byte-identical to
 // merging sequential per-file analyses by hand.
 func TestAnalyzeDirMergeParity(t *testing.T) {
 	dir, paths := writeTraceDir(t, "fig1", "gcc", "com")
@@ -63,11 +63,11 @@ func TestAnalyzeDirMergeParity(t *testing.T) {
 	want.Name = filepath.Base(dir) // distinct workload names merge to the dir name
 
 	configs := map[string][]Option{
-		"sequential":      base,
-		"parallel-decode": append([]Option{WithWorkers(2)}, base...),
-		"speculative":     append([]Option{WithSpeculation(4)}, base...),
-		"sharded":         append([]Option{WithSpecShards(4), WithWorkers(2)}, base...),
-		"sharded-auto":    append([]Option{WithSpecShards(0)}, base...),
+		"sequential":         base,
+		"parallel-decode":    append([]Option{WithWorkers(2)}, base...),
+		"speculative":        append([]Option{WithSpeculation(4)}, base...),
+		"speculative-decode": append([]Option{WithSpeculation(2), WithWorkers(2)}, base...),
+		"speculative-auto":   append([]Option{WithSpeculation(0)}, base...),
 	}
 	for name, opts := range configs {
 		for _, parallel := range []int{1, 3} {

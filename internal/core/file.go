@@ -130,19 +130,7 @@ func AnalyzeFile(path string, opts ...Option) (*dpg.Result, error) {
 // path exactly: read errors and model errors both surface as
 // "core: streaming <path>: ..." with the same underlying taxonomy.
 func analyzeSpeculative(path string, r traceReader, name string, counts []uint64, cfg *config) (*dpg.Result, error) {
-	spec := cfg.specConfig()
-	if spec.Epochs > 0 {
-		// The pre-pass already counted the trace, so a requested epoch
-		// count translates into an epoch length up front.
-		var total uint64
-		for _, c := range counts {
-			total += c
-		}
-		if n := total / uint64(spec.Epochs); n > 0 && n < uint64(1<<31) {
-			spec.EpochEvents = int(n) + 1
-		}
-	}
-	s, err := dpg.NewSpecRun(name, counts, cfg.model, spec)
+	s, err := dpg.NewSpecRun(name, counts, cfg.model, cfg.specConfig())
 	if err != nil {
 		return nil, err
 	}

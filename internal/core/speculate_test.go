@@ -15,19 +15,20 @@ import (
 
 // TestRunTraceSpeculativeParity checks the in-memory public surface:
 // RunTrace with WithSpeculation returns a Result identical to the plain
-// sequential RunTrace across predictors and worker counts.
+// sequential RunTrace across predictors and worker counts (0 = the
+// default), over one unit per predictor category.
 func TestRunTraceSpeculativeParity(t *testing.T) {
 	w, _ := workloads.ByName("gcc")
 	tr, err := w.TraceRounds(max(2, w.Rounds/50), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []predictor.Kind{predictor.KindLast, predictor.KindContext} {
+	for _, kind := range []predictor.Kind{predictor.KindLast, predictor.KindStride, predictor.KindContext} {
 		want, err := RunTrace(tr, WithKind(kind))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{0, 1, 4} {
 			var st dpg.SpecStats
 			got, err := RunTrace(tr, WithKind(kind), WithSpeculation(workers), WithSpecStats(&st))
 			if err != nil {
@@ -36,85 +37,16 @@ func TestRunTraceSpeculativeParity(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s w=%d: speculative RunTrace differs from sequential", kind, workers)
 			}
-			if st.Fallback || st.Diverged != 0 || st.Epochs == 0 {
+			if st.Fallback || st.Diverged != 0 || st.Epochs == 0 || st.Units != 4 {
 				t.Fatalf("%s w=%d: implausible stats %+v", kind, workers, st)
 			}
 		}
 	}
 }
 
-// TestRunTraceShardedParity checks the sharded public surface: RunTrace
-// with WithSpecShards matches sequential RunTrace exactly, for shardable
-// and global value predictors, with chains scaled past the four-unit
-// ceiling, including the automatic shard count.
-func TestRunTraceShardedParity(t *testing.T) {
-	w, _ := workloads.ByName("gcc")
-	tr, err := w.TraceRounds(max(2, w.Rounds/50), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []predictor.Kind{predictor.KindStride, predictor.KindContext} {
-		want, err := RunTrace(tr, WithKind(kind))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{0, 2, 4} {
-			var st dpg.SpecStats
-			got, err := RunTrace(tr, WithKind(kind), WithSpecShards(shards), WithSpecStats(&st))
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", kind, shards, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s shards=%d: sharded RunTrace differs from sequential", kind, shards)
-			}
-			if st.Fallback || st.Diverged != 0 || st.Shards < 1 {
-				t.Fatalf("%s shards=%d: implausible stats %+v", kind, shards, st)
-			}
-			if shards > 0 && st.Shards != shards {
-				t.Fatalf("%s: effective shards %d, want %d", kind, st.Shards, shards)
-			}
-		}
-	}
-}
-
-// TestAnalyzeFileShardedParity checks the streaming surface under
-// sharding, composed with the parallel decoder.
-func TestAnalyzeFileShardedParity(t *testing.T) {
-	w, _ := workloads.ByName("fig1")
-	tr, err := w.TraceRounds(30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "fig1.dpg")
-	if err := trace.WriteFile(path, tr); err != nil {
-		t.Fatal(err)
-	}
-	want, err := AnalyzeFile(path, WithKind(predictor.KindLast))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range [][]Option{
-		{WithKind(predictor.KindLast), WithSpecShards(2)},
-		{WithKind(predictor.KindLast), WithSpecShards(4), WithWorkers(4)},
-		{WithKind(predictor.KindLast), WithSpecShards(4), WithSpeculationEpochs(9)},
-	} {
-		var st dpg.SpecStats
-		got, err := AnalyzeFile(path, append(opts, WithSpecStats(&st))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatal("sharded AnalyzeFile differs from sequential")
-		}
-		if st.Fallback || st.Diverged != 0 || st.Shards < 2 {
-			t.Fatalf("implausible stats %+v", st)
-		}
-	}
-}
-
 // TestAnalyzeFileSpeculativeParity checks the streaming public surface:
 // AnalyzeFile with WithSpeculation (composed with the parallel decoder and
-// an explicit epoch count) matches the sequential AnalyzeFile exactly.
+// the default worker count) matches the sequential AnalyzeFile exactly.
 func TestAnalyzeFileSpeculativeParity(t *testing.T) {
 	w, _ := workloads.ByName("fig1")
 	tr, err := w.TraceRounds(30, 1)
@@ -131,7 +63,7 @@ func TestAnalyzeFileSpeculativeParity(t *testing.T) {
 	}
 	for _, opts := range [][]Option{
 		{WithKind(predictor.KindStride), WithSpeculation(4)},
-		{WithKind(predictor.KindStride), WithSpeculation(2), WithSpeculationEpochs(9)},
+		{WithKind(predictor.KindStride), WithSpeculation(0)},
 		{WithKind(predictor.KindStride), WithSpeculation(4), WithWorkers(4)},
 	} {
 		var st dpg.SpecStats

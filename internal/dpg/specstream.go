@@ -138,14 +138,15 @@ func (s *SpecRun) Finish() (*Result, error) {
 }
 
 // Close abandons the run without a result, reclaiming its goroutines. Safe
-// after Finish; needed only when the feed fails before Finish.
+// after Finish; needed only when the feed fails before Finish. The chains
+// are stopped before waiting for the committer, which may be blocked on a
+// record they will now never send.
 func (s *SpecRun) Close() {
 	if s.r == nil {
 		return
 	}
-	s.r.store.abort()
-	<-s.commitDone
 	s.r.shutdown()
+	<-s.commitDone
 }
 
 // abortedErr reports why the store rejected a feed: the committer's error

@@ -123,14 +123,14 @@ func encodeSummary(t *testing.T, s *Summary) []byte {
 // canonical wire encoding — to core.AnalyzeDir on the same corpus.
 func TestFleetDifferential(t *testing.T) {
 	dir, _ := corpusDir(t)
-	// Heterogeneous pool on purpose: sequential, speculative, and sharded
-	// workers must produce interchangeable partials (the model is exact
+	// Heterogeneous pool on purpose: sequential workers and speculative
+	// ones at two chain counts must produce interchangeable partials (the model is exact
 	// under every execution strategy), so the aggregate cannot depend on
 	// which worker analysed which trace.
 	cfg := fastCfg(
 		realWorker(t, nil),
 		realWorker(t, func(c *server.Config) { c.Speculation = 2 }),
-		realWorker(t, func(c *server.Config) { c.Speculation = 2; c.Shards = 2 }),
+		realWorker(t, func(c *server.Config) { c.Speculation = 4 }),
 	)
 
 	s, err := RunDir(context.Background(), cfg, dir)

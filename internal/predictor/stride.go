@@ -7,8 +7,7 @@ package predictor
 // observed twice in a row, so a single irregular value does not destroy a
 // learned stride (and last-value behaviour is the stride-0 special case).
 type Stride struct {
-	mask    uint64 // full-table index mask, shared by every shard
-	geom    shardGeom
+	mask    uint64
 	entries []strideEntry
 	track   bool
 	dig     uint64
@@ -29,7 +28,6 @@ func NewStride(bits int) *Stride {
 	}
 	return &Stride{
 		mask:    1<<uint(bits) - 1,
-		geom:    newShardGeom(0, 1),
 		entries: make([]strideEntry, 1<<uint(bits)),
 	}
 }
@@ -39,8 +37,7 @@ func (p *Stride) Name() string { return "stride" }
 
 // Predict implements Predictor.
 func (p *Stride) Predict(key uint64) (uint32, bool) {
-	local, _ := p.geom.slot(mix(key) & p.mask)
-	e := &p.entries[local]
+	e := &p.entries[mix(key)&p.mask]
 	if !e.valid {
 		return 0, false
 	}
@@ -53,8 +50,8 @@ func (p *Stride) Predict(key uint64) (uint32, bool) {
 
 // Update implements Predictor.
 func (p *Stride) Update(key uint64, actual uint32) {
-	local, i := p.geom.slot(mix(key) & p.mask)
-	e := &p.entries[local]
+	i := mix(key) & p.mask
+	e := &p.entries[i]
 	var oa, ob uint64
 	if p.track {
 		oa, ob = packStrideEntry(*e)

@@ -99,13 +99,21 @@ func main() {
 
 // expandTraces resolves -trace into file paths: a directory becomes every
 // *.dpg inside it, a glob pattern expands, and a plain path passes through.
+// Matches that are not regular files (symlinks followed) are dropped, so a
+// directory yields the same set as -merge's core.AnalyzeDir.
 func expandTraces(pat string) []string {
 	if st, err := os.Stat(pat); err == nil && st.IsDir() {
 		pat = filepath.Join(pat, "*.dpg")
 	}
-	paths, err := filepath.Glob(pat)
+	matches, err := filepath.Glob(pat)
 	if err != nil {
 		fail(fmt.Sprintf("bad -trace pattern %q: %v", pat, err))
+	}
+	var paths []string
+	for _, p := range matches {
+		if st, err := os.Stat(p); err == nil && st.Mode().IsRegular() {
+			paths = append(paths, p)
+		}
 	}
 	if len(paths) == 0 {
 		fail(fmt.Sprintf("no trace files match %q", pat))

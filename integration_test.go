@@ -114,12 +114,25 @@ func TestCLIPipeline(t *testing.T) {
 	}
 
 	// dpgrun -merge aggregates the directory (one plain + one compressed
-	// trace at this point) into a single exact report.
+	// trace at this point) into a single exact report. Neither a
+	// subdirectory named like a trace nor a file without the .dpg suffix
+	// is a trace: -merge and the plain directory mode both skip them and
+	// analyse the same two files.
+	if err := os.Mkdir(filepath.Join(work, "sub.dpg"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(work, "notes.txt"), []byte("not a trace"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	out = run("dpgrun", "-merge", "-trace", work, "-predictor", "stride", "-speculate", "2")
 	for _, want := range []string{"merged 2 trace file(s)", "predictor: stride", "Table 1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dpgrun -merge output missing %q:\n%s", want, out)
 		}
+	}
+	out = run("dpgrun", "-trace", work, "-predictor", "stride")
+	if !strings.Contains(out, "2 file(s), 2 predictor run(s), 0 failure(s)") {
+		t.Errorf("dpgrun directory mode did not analyse the same 2 files as -merge:\n%s", out)
 	}
 
 	// dpgrun -graph prints the Fig. 3 fragment.

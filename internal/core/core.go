@@ -48,7 +48,6 @@ type config struct {
 	specWorkers int
 	specStats   *dpg.SpecStats
 	ctx         context.Context
-	failFast    bool
 	observers   []analysis.Observer
 }
 
@@ -167,15 +166,6 @@ func WithObservers(obs ...analysis.Observer) Option {
 // (the default) disables cancellation entirely.
 func WithContext(ctx context.Context) Option {
 	return func(c *config) { c.ctx = ctx }
-}
-
-// WithFailFast makes AnalyzeFiles stop launching new files after the
-// first hard failure: in-flight analyses finish (their results are kept),
-// and every file not yet started is marked with an error matching
-// ErrAborted instead of being analysed. Without it the fan-out always
-// runs every path to completion.
-func WithFailFast() Option {
-	return func(c *config) { c.failFast = true }
 }
 
 // specConfig translates the speculation half of the config for dpg.

@@ -110,84 +110,6 @@ func TestAnalyzeDirSingleFile(t *testing.T) {
 	}
 }
 
-// TestAnalyzeDirStreamingGrowth drives the streaming walk over a
-// directory that grows while it is being read: with the batch size pinned
-// to 1, traces written between batches must still be picked up (the walk
-// reads the directory stream incrementally instead of snapshotting the
-// listing), dispatched exactly once, and folded into the same aggregate a
-// second, quiescent AnalyzeDir over the final directory produces.
-func TestAnalyzeDirStreamingGrowth(t *testing.T) {
-	dir, _ := writeTraceDir(t, "fig1", "gcc")
-
-	oldBatch, oldHook := dirBatch, dirBatchHook
-	t.Cleanup(func() { dirBatch, dirBatchHook = oldBatch, oldHook })
-	dirBatch = 1
-
-	// After the first batch is dispatched, grow the directory: two more
-	// traces plus a decoy the filter must skip. The walk's catch-up rescan
-	// must surface the new traces before the pool shuts down.
-	grown := false
-	dirBatchHook = func(batch int) {
-		if batch != 0 || grown {
-			return
-		}
-		grown = true
-		w, ok := workloads.ByName("com")
-		if !ok {
-			t.Fatal("unknown workload com")
-		}
-		tr, err := w.TraceRounds(max(2, w.Rounds/60), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range []string{"zz-late-1.dpg", "zz-late-2.dpg"} {
-			if err := trace.WriteFile(filepath.Join(dir, name), tr); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := os.WriteFile(filepath.Join(dir, "zz-notes.txt"), []byte("decoy"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	got, files, err := AnalyzeDir(dir, 2, WithKind(predictor.KindStride))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !grown {
-		t.Fatal("batch hook never ran: the walk was not incremental")
-	}
-	if len(files) != 4 {
-		t.Fatalf("%d file results, want 4 (2 initial + 2 added mid-walk): %+v", len(files), files)
-	}
-	seen := map[string]int{}
-	for _, fr := range files {
-		seen[filepath.Base(fr.Path)]++
-		if fr.Err != nil {
-			t.Fatalf("%s: %v", fr.Path, fr.Err)
-		}
-	}
-	for name, n := range seen {
-		if n != 1 {
-			t.Fatalf("%s analysed %d times", name, n)
-		}
-	}
-	if seen["zz-late-1.dpg"] != 1 || seen["zz-late-2.dpg"] != 1 {
-		t.Fatalf("mid-walk traces missing from %v", seen)
-	}
-
-	// The grown directory, re-analysed at rest, must agree exactly.
-	dirBatchHook = nil
-	dirBatch = oldBatch
-	want, _, err := AnalyzeDir(dir, 1, WithKind(predictor.KindStride))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("mid-growth aggregate differs from the quiescent re-analysis")
-	}
-}
-
 // TestAnalyzeDirErrors pins the coordinator's error contract: missing
 // directory, no trace files, and a corrupt member all fail loudly — a
 // partial aggregate is never returned.

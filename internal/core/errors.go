@@ -21,9 +21,8 @@ import (
 //   - ErrTruncated: a trace stream ended before its footer.
 //   - ErrChecksum: a CRC-protected trace region failed verification.
 //   - ErrAborted: the analysis was cut short by the caller — a cancelled
-//     or expired WithContext, or fail-fast abandonment in AnalyzeFiles —
-//     rather than by anything wrong with the trace. Context-driven aborts
-//     also match the context's own error (context.Canceled /
+//     or expired WithContext — rather than by anything wrong with the
+//     trace. Aborts also match the context's own error (context.Canceled /
 //     context.DeadlineExceeded) through errors.Is.
 var (
 	// ErrConfig reports invalid configuration or API misuse.
@@ -34,8 +33,8 @@ var (
 	ErrTruncated = trace.ErrTruncated
 	// ErrChecksum reports trace data failing its checksum.
 	ErrChecksum = trace.ErrChecksum
-	// ErrAborted reports an analysis stopped by cancellation or fail-fast,
-	// not by trace damage.
+	// ErrAborted reports an analysis stopped by cancellation, not by trace
+	// damage.
 	ErrAborted = errors.New("core: analysis aborted")
 )
 

@@ -2,14 +2,12 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/dpg"
 	"repro/internal/trace"
@@ -266,13 +264,8 @@ type FileResult struct {
 // parallel concurrent analyses (0 or 1 = sequential), the same bounded
 // worker-pool shape Suite.Precompute uses for model runs. Results keep the
 // input order; per-file failures land in FileResult.Err without stopping
-// the other files.
-//
-// Under WithFailFast the fan-out stops launching new files after the
-// first hard failure: analyses already in flight run to completion, and
-// every file not yet started gets an ErrAborted-matching error instead.
-// Under WithContext, cancellation both aborts in-flight analyses and
-// prevents new ones from starting.
+// the other files. Under WithContext, cancellation both aborts in-flight
+// analyses and prevents new ones from starting.
 func AnalyzeFiles(paths []string, parallel int, opts ...Option) []FileResult {
 	out := make([]FileResult, len(paths))
 	if parallel < 1 {
@@ -281,12 +274,11 @@ func AnalyzeFiles(paths []string, parallel int, opts ...Option) []FileResult {
 	if parallel > len(paths) {
 		parallel = len(paths)
 	}
-	// The fan-out policy knobs (fail-fast, context) live in the same
-	// option set as the per-file configuration; resolve them once here. An
-	// invalid option set is left for the per-file AnalyzeFile calls to
-	// report, preserving the per-file error contract.
+	// The context lives in the same option set as the per-file
+	// configuration; resolve it once here. An invalid option set is left
+	// for the per-file AnalyzeFile calls to report, preserving the
+	// per-file error contract.
 	cfg, _ := buildConfig(opts)
-	var failed atomic.Bool
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < parallel; w++ {
@@ -300,15 +292,8 @@ func AnalyzeFiles(paths []string, parallel int, opts ...Option) []FileResult {
 					fr.Err = wrapAbort(err)
 					continue
 				}
-				if cfg.failFast && failed.Load() {
-					fr.Err = fmt.Errorf("%w: fail-fast: an earlier file failed", ErrAborted)
-					continue
-				}
 				perFile := append(append([]Option{}, opts...), WithTraceStats(&fr.Stats))
 				fr.Res, fr.Err = AnalyzeFile(paths[i], perFile...)
-				if fr.Err != nil && !errors.Is(fr.Err, ErrAborted) {
-					failed.Store(true)
-				}
 			}
 		}()
 	}

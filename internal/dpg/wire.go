@@ -86,9 +86,10 @@ type wireResult struct {
 	Graph     *Fragment      `json:"graph"`
 }
 
-// EncodeResult serialises r into the versioned wire form used between
-// dpgfleet and dpgd workers: a JSON envelope carrying the wire version, the
-// producer's model version, and a SHA-256 digest of the canonical body.
+// EncodeResult serialises r into the versioned wire form dpgd's POST
+// /result returns, so partials computed on different hosts can be decoded
+// and merged: a JSON envelope carrying the wire version, the producer's
+// model version, and a SHA-256 digest of the canonical body.
 // Encoding is deterministic — the same Result and model version always
 // yield the same bytes — and DecodeResult(EncodeResult(r)) reproduces r
 // exactly (reflect.DeepEqual), Graph included.

@@ -80,8 +80,9 @@ func TestResultWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResultWireMergeOverWire is the fleet shape in miniature: partials
-// that crossed the wire merge to the same aggregate as the originals.
+// TestResultWireMergeOverWire is the gather-and-merge shape in miniature:
+// partials that crossed the wire merge to the same aggregate as the
+// originals.
 func TestResultWireMergeOverWire(t *testing.T) {
 	in := wireInputs(t)
 	a, b := in["fig1/plain"], in["gcc/plain"]

@@ -173,8 +173,9 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Handler returns the HTTP surface: POST /analyze (the human-readable
-// report), POST /result (the mergeable wire-encoded partial dpgfleet
-// scatters over), plus /healthz, /readyz, and /metrics.
+// report), POST /result (the wire-encoded partial a client gathers from
+// one or more dpgd hosts and folds with dpg.MergeResults), plus /healthz,
+// /readyz, and /metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/analyze", func(w http.ResponseWriter, r *http.Request) {

@@ -34,12 +34,14 @@ func postResult(t *testing.T, url, query string, body []byte) (int, []byte, http
 // /result returns are exactly dpg.EncodeResult of the local AnalyzeFile
 // Result under the server's model version — byte-identical, not just
 // semantically equal — and an identical repeat is served from cache with
-// the same bytes.
+// the same bytes. Partials gathered from /result for two traces merge to
+// the same bytes as core.AnalyzeDir over the directory holding both.
 func TestResultEndpointParity(t *testing.T) {
 	_, ts := testServer(t, func(c *Config) { c.Speculation = 2 })
 	data := traceBytes(t, "gcc", 40)
 
-	tmp := filepath.Join(t.TempDir(), "gcc.dpg")
+	dir := t.TempDir()
+	tmp := filepath.Join(dir, "gcc.dpg")
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +82,42 @@ func TestResultEndpointParity(t *testing.T) {
 	}
 	if !bytes.Equal(again, want) {
 		t.Fatal("cached /result bytes differ")
+	}
+
+	// Gather: a second trace's partial, decoded and merged with the first
+	// in sorted path order (bfs.dpg < gcc.dpg), must encode to the same
+	// bytes as the in-process directory merge.
+	bfs := traceBytes(t, "bfs", 2)
+	if err := os.WriteFile(filepath.Join(dir, "bfs.dpg"), bfs, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	status, got, _ = postResult(t, ts.URL, "?predictor=stride", bfs)
+	if status != http.StatusOK {
+		t.Fatalf("bfs: status %d: %s", status, got)
+	}
+	bfsDec, _, err := dpg.DecodeResult(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := dpg.MergeResults(bfsDec, dec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged.Name = filepath.Base(dir) // distinct workload names merge to the dir name
+	local, _, err := core.AnalyzeDir(dir, 2, core.WithKind(predictor.KindStride))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gathered, err := dpg.EncodeResult(merged, ModelVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDir, err := dpg.EncodeResult(local, ModelVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gathered, wantDir) {
+		t.Fatal("merged /result partials differ from EncodeResult(AnalyzeDir)")
 	}
 }
 

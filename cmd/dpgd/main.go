@@ -20,8 +20,9 @@
 // On SIGINT/SIGTERM the server stops admitting work, drains queued and
 // running jobs for -drain-timeout, then cancels whatever remains through
 // its context and exits. Under overload it degrades before it sheds:
-// past -degraded-at queue fill, jobs run without speculation and with
-// sequential decode; only a full queue rejects outright.
+// past -degraded-at queue fill, jobs run with sequential decode instead of
+// the parallel block decoder; only a full queue rejects outright. Every
+// job runs the one sequential model pass.
 package main
 
 import (
@@ -57,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	jobTimeout := fs.Duration("job-timeout", 60*time.Second, "per-job deadline")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget before jobs are cancelled")
 	maxUpload := fs.Int64("max-upload", 1<<30, "maximum upload size in bytes")
-	speculate := fs.Int("speculate", 2, "epoch-speculation degree for normal-mode jobs (<=1 disables)")
 	degradedAt := fs.Float64("degraded-at", 0.5, "queue-fill fraction past which jobs run degraded")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -73,17 +73,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		*storeDir = dir
 	}
 
-	spec := *speculate
-	if spec <= 1 {
-		spec = -1 // Config treats negative as "off" and zero as "default"
-	}
 	srv, err := server.New(server.Config{
 		StoreDir:       filepath.Clean(*storeDir),
 		QueueDepth:     *queue,
 		Workers:        *workers,
 		JobTimeout:     *jobTimeout,
 		MaxUploadBytes: *maxUpload,
-		Speculation:    spec,
 		DegradedAt:     *degradedAt,
 	})
 	if err != nil {

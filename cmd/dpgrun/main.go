@@ -23,7 +23,12 @@
 // By default a corrupt or truncated trace file is rejected with a typed
 // error and a non-zero exit. With -strict=false the reader resynchronises
 // past damaged blocks, analyses the surviving events, and prints a
-// corruption summary (blocks skipped, bytes lost, truncation) to stderr.
+// corruption summary (blocks skipped, bytes lost, truncation) to stderr,
+// prefixed with the damaged file's path in directory and -merge modes.
+//
+// When influence sets overflowed the tracking cap, the path statistics
+// (paper Figs. 9 and 11) are inexact; dpgrun says so on stderr, one line
+// per predictor, so stdout stays the plain report.
 package main
 
 import (
@@ -57,7 +62,6 @@ func main() {
 	strict := flag.Bool("strict", true, "reject corrupt traces; -strict=false resyncs past damage and summarises it")
 	workers := flag.Int("workers", 0, "concurrent trace-decode workers per file (0 = all cores, 1 = sequential)")
 	parallel := flag.Int("parallel", 0, "concurrent files in directory/glob mode (0 = all cores)")
-	speculate := flag.Int("speculate", 0, "run the model pass epoch-speculatively with N predictor chains (0 = off, -1 = auto); results are identical, only faster")
 	merge := flag.Bool("merge", false, "directory mode: merge every file's Result into one exact aggregate report instead of per-file summaries")
 	flag.Parse()
 
@@ -82,16 +86,16 @@ func main() {
 	case *merge && *tracePat == "":
 		fail("-merge needs -trace naming a directory of .dpg files")
 	case *merge:
-		runMerged(ctx, *tracePat, kinds, *strict, *workers, *parallel, *speculate)
+		runMerged(ctx, *tracePat, kinds, *strict, *workers, *parallel)
 	case *tracePat != "":
 		paths := expandTraces(*tracePat)
 		if len(paths) == 1 {
-			runFile(ctx, paths[0], kinds, *graph, *strict, *workers, *speculate)
+			runFile(ctx, paths[0], kinds, *graph, *strict, *workers)
 			return
 		}
-		runFiles(ctx, paths, kinds, *strict, *workers, *parallel, *speculate)
+		runFiles(ctx, paths, kinds, *strict, *workers, *parallel)
 	case *workload != "":
-		runWorkload(ctx, *workload, *rounds, kinds, *graph, *speculate)
+		runWorkload(ctx, *workload, *rounds, kinds, *graph)
 	default:
 		fail("missing -trace or -workload")
 	}
@@ -123,7 +127,7 @@ func expandTraces(pat string) []string {
 }
 
 // fileOpts assembles the streaming options shared by both file modes.
-func fileOpts(ctx context.Context, k predictor.Kind, graph int, strict bool, workers, speculate int) []core.Option {
+func fileOpts(ctx context.Context, k predictor.Kind, graph int, strict bool, workers int) []core.Option {
 	opts := []core.Option{core.WithKind(k), core.WithWorkers(workers), core.WithContext(ctx)}
 	if graph > 0 {
 		opts = append(opts, core.WithGraphLimit(graph))
@@ -131,44 +135,19 @@ func fileOpts(ctx context.Context, k predictor.Kind, graph int, strict bool, wor
 	if !strict {
 		opts = append(opts, core.WithLenientTrace())
 	}
-	opts = append(opts, specOpts(speculate)...)
 	return opts
-}
-
-// specOpts translates -speculate: 0 is off, negative is automatic,
-// positive is explicit.
-func specOpts(speculate int) []core.Option {
-	if speculate == 0 {
-		return nil
-	}
-	return []core.Option{core.WithSpeculation(max(speculate, 0))}
-}
-
-// printSpecStats summarises a speculative run on stderr, out of band of
-// the report (whose content is identical either way).
-func printSpecStats(st dpg.SpecStats) {
-	if st.Fallback {
-		fmt.Fprintf(os.Stderr, "dpgrun: speculation: predictor has no checkpoint support, ran sequentially\n")
-		return
-	}
-	fmt.Fprintf(os.Stderr, "dpgrun: speculation: %d epochs on %d chains, %d diverged, %d replayed (%d replay epochs), %d abandoned\n",
-		st.Epochs, st.Chains, st.Diverged, st.Replayed, st.ReplayEpochs, st.Abandoned)
 }
 
 // runFile streams one trace file through the pass pipeline, once per
 // predictor, printing the same header and per-predictor report as the
 // workload mode.
-func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int, strict bool, workers, speculate int) {
+func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int, strict bool, workers int) {
 	headerDone := false
 	for i, k := range kinds {
 		var ps dpg.PreStats
 		var st trace.Stats
-		var ss dpg.SpecStats
-		opts := append(fileOpts(ctx, k, graph, strict, workers, speculate),
+		opts := append(fileOpts(ctx, k, graph, strict, workers),
 			core.WithPreStats(&ps), core.WithTraceStats(&st))
-		if speculate != 0 {
-			opts = append(opts, core.WithSpecStats(&ss))
-		}
 		r, err := core.AnalyzeFile(path, opts...)
 		if errors.Is(err, core.ErrAborted) {
 			failInterrupted(i, len(kinds))
@@ -176,14 +155,11 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 		if err != nil {
 			fail(err.Error())
 		}
-		if speculate != 0 {
-			printSpecStats(ss)
-		}
 		if !headerDone {
 			headerDone = true
 			fmt.Printf("trace %s: %d dynamic instructions, %d static\n\n", r.Name, ps.Events, len(ps.StaticCount))
 			if !strict {
-				printCorruption(st)
+				printCorruption("", st)
 			}
 		}
 		printResult(r)
@@ -197,15 +173,13 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 // AnalyzeFiles sweep per predictor, and prints per-file summary lines in
 // file-major order. Any per-file failure turns into a non-zero exit after
 // every file has been reported.
-func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, strict bool, workers, parallel, speculate int) {
+func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, strict bool, workers, parallel int) {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
 	byKind := make([][]core.FileResult, len(kinds))
 	for i, k := range kinds {
-		// No WithSpecStats here: one options slice serves every concurrent
-		// file, and a shared stats pointer would race.
-		byKind[i] = core.AnalyzeFiles(paths, parallel, fileOpts(ctx, k, 0, strict, workers, speculate)...)
+		byKind[i] = core.AnalyzeFiles(paths, parallel, fileOpts(ctx, k, 0, strict, workers)...)
 	}
 	failed, interrupted := 0, 0
 	for fi, path := range paths {
@@ -227,9 +201,8 @@ func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, stric
 			fmt.Printf("  %-10s %12d events   gen %5.1f%%   prop %5.1f%%   term %5.1f%%   unpred %5.1f%%\n",
 				k, fr.Res.Nodes, row.NodeGen+row.ArcGen, row.NodeProp+row.ArcProp,
 				row.NodeTerm+row.ArcTerm, row.UnpredPct)
-			if !strict && (fr.Stats.BlocksSkipped > 0 || fr.Stats.Truncated || fr.Stats.FooterLost) {
-				fmt.Fprintf(os.Stderr, "dpgrun: %s: ", path)
-				printCorruption(fr.Stats)
+			if !strict && damaged(fr.Stats) {
+				printCorruption(path+": ", fr.Stats)
 			}
 		}
 	}
@@ -248,8 +221,9 @@ func runFiles(ctx context.Context, paths []string, kinds []predictor.Kind, stric
 // runMerged analyzes every .dpg file in a directory and reports one exact
 // aggregate per predictor (core.AnalyzeDir): the merged Result is
 // byte-identical to what a single analysis of the concatenated populations
-// would report, regardless of fan-out, decode, or speculation configuration.
-func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict bool, workers, parallel, speculate int) {
+// would report, regardless of fan-out or decode configuration. Under
+// -strict=false each damaged file's corruption summary goes to stderr once.
+func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict bool, workers, parallel int) {
 	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
 		fail(fmt.Sprintf("-merge needs a directory of .dpg files; %q is not one", dir))
 	}
@@ -258,7 +232,7 @@ func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict b
 	}
 	headerDone := false
 	for i, k := range kinds {
-		res, files, err := core.AnalyzeDir(dir, parallel, fileOpts(ctx, k, 0, strict, workers, speculate)...)
+		res, files, err := core.AnalyzeDir(dir, parallel, fileOpts(ctx, k, 0, strict, workers)...)
 		if errors.Is(err, core.ErrAborted) {
 			failInterrupted(i, len(kinds))
 		}
@@ -269,6 +243,11 @@ func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict b
 			headerDone = true
 			fmt.Printf("merged %d trace file(s) from %s: %d dynamic instructions\n\n",
 				len(files), dir, res.Nodes)
+			for _, fr := range files {
+				if !strict && damaged(fr.Stats) {
+					printCorruption(fr.Path+": ", fr.Stats)
+				}
+			}
 		}
 		printResult(res)
 	}
@@ -277,7 +256,7 @@ func runMerged(ctx context.Context, dir string, kinds []predictor.Kind, strict b
 // runWorkload traces a built-in workload in memory and runs the model —
 // the only dpgrun mode that materializes a trace (the generator produces
 // one directly).
-func runWorkload(ctx context.Context, name string, rounds int, kinds []predictor.Kind, graph, speculate int) {
+func runWorkload(ctx context.Context, name string, rounds int, kinds []predictor.Kind, graph int) {
 	w, ok := workloads.ByName(name)
 	if !ok {
 		fail(fmt.Sprintf("unknown workload %q; known: %v", name, workloads.Names()))
@@ -297,18 +276,9 @@ func runWorkload(ctx context.Context, name string, rounds int, kinds []predictor
 		if ctx.Err() != nil {
 			failInterrupted(i, len(kinds))
 		}
-		var ss dpg.SpecStats
-		opts := []core.Option{core.WithKind(k), core.WithGraphLimit(graph)}
-		opts = append(opts, specOpts(speculate)...)
-		if speculate != 0 {
-			opts = append(opts, core.WithSpecStats(&ss))
-		}
-		res, err := core.RunTrace(t, opts...)
+		res, err := core.RunTrace(t, core.WithKind(k), core.WithGraphLimit(graph))
 		if err != nil {
 			fail(err.Error())
-		}
-		if speculate != 0 {
-			printSpecStats(ss)
 		}
 		printResult(res)
 		if graph > 0 {
@@ -330,7 +300,13 @@ func kindByName(name string) (predictor.Kind, bool) {
 	return predictor.KindByName(name)
 }
 
+// printResult writes one predictor's report to stdout, and flags inexact
+// path statistics on stderr.
 func printResult(r *dpg.Result) {
+	if over := r.Path.NumGenHist[dpg.MaxTrackedGens+1]; over > 0 {
+		fmt.Fprintf(os.Stderr, "dpgrun: %s: path statistics inexact: %d of %d propagating elements (%.1f%%) overflowed the %d-generator influence cap\n",
+			r.Predictor, over, r.Path.Elems, 100*float64(over)/float64(r.Path.Elems), dpg.MaxTrackedGens)
+	}
 	fmt.Printf("== predictor: %s ==\n", r.Predictor)
 	report.WriteTable1(os.Stdout, analysis.Table1([]*dpg.Result{r}))
 	report.WriteOverall(os.Stdout, []analysis.OverallRow{analysis.Overall(r)})
@@ -340,19 +316,25 @@ func printResult(r *dpg.Result) {
 	report.WriteBranches(os.Stdout, []analysis.BranchRow{analysis.BranchClasses(r)})
 }
 
-// printCorruption summarises what the lenient reader recovered (and lost).
-func printCorruption(st trace.Stats) {
-	if st.BlocksSkipped == 0 && !st.Truncated && !st.FooterLost {
+// damaged reports whether the lenient reader skipped or lost anything.
+func damaged(st trace.Stats) bool {
+	return st.BlocksSkipped > 0 || st.Truncated || st.FooterLost
+}
+
+// printCorruption summarises what the lenient reader recovered (and lost)
+// on stderr; label names the file in multi-file modes ("path: ").
+func printCorruption(label string, st trace.Stats) {
+	if !damaged(st) {
 		compressed := ""
 		if st.BlocksCompressed > 0 {
 			compressed = fmt.Sprintf(", %d compressed", st.BlocksCompressed)
 		}
-		fmt.Fprintf(os.Stderr, "dpgrun: trace intact (v%d, %d blocks%s, %d events)\n",
-			st.Version, st.Blocks, compressed, st.Events)
+		fmt.Fprintf(os.Stderr, "dpgrun: %strace intact (v%d, %d blocks%s, %d events)\n",
+			label, st.Version, st.Blocks, compressed, st.Events)
 		return
 	}
-	fmt.Fprintf(os.Stderr, "dpgrun: corruption summary (v%d): recovered %d events from %d blocks; skipped %d damaged region(s), %d bytes",
-		st.Version, st.Events, st.Blocks, st.BlocksSkipped, st.BytesSkipped)
+	fmt.Fprintf(os.Stderr, "dpgrun: %scorruption summary (v%d): recovered %d events from %d blocks; skipped %d damaged region(s), %d bytes",
+		label, st.Version, st.Events, st.Blocks, st.BlocksSkipped, st.BytesSkipped)
 	if st.Truncated {
 		fmt.Fprint(os.Stderr, "; stream truncated")
 	}

@@ -23,9 +23,10 @@ var graphKinds = []predictor.Kind{predictor.KindTAGE, predictor.KindLDBP}
 // scenario pack: for every graph workload × new predictor, the sequential
 // in-memory Result is the single source of truth, and every other
 // execution strategy — file analysis at several decode worker counts, over
-// both codecs, and the epoch-speculative pass — must reproduce it byte
-// for byte. The directory-merge coordinator over the
-// full graph trace set must equal hand-merging the per-file analyses.
+// both codecs, and the in-memory epoch-speculative pass
+// (dpg.RunSpeculative) — must reproduce it byte for byte. The
+// directory-merge coordinator over the full graph trace set must equal
+// hand-merging the per-file analyses.
 func TestGraphDifferentialBattery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("graph battery in -short mode")
@@ -79,7 +80,8 @@ func TestGraphDifferentialBattery(t *testing.T) {
 
 			// Epoch-speculative pass.
 			var st dpg.SpecStats
-			got, err := core.RunTrace(tr, core.WithKind(kind), core.WithSpeculation(4), core.WithSpecStats(&st))
+			cfg := dpg.Config{Predictor: kind.Factory(), PredictorName: kind.String()}
+			got, err := dpg.RunSpeculative(tr, cfg, dpg.SpecConfig{Workers: 4, Stats: &st})
 			if err != nil {
 				t.Fatalf("%s/%s speculative: %v", name, kind, err)
 			}
@@ -116,7 +118,7 @@ func TestGraphDifferentialBattery(t *testing.T) {
 			t.Fatal(err)
 		}
 		want.Name = filepath.Base(dir)
-		got, perFile, err := core.AnalyzeDir(dir, 3, core.WithKind(kind), core.WithSpeculation(2))
+		got, perFile, err := core.AnalyzeDir(dir, 3, core.WithKind(kind), core.WithWorkers(2))
 		if err != nil {
 			t.Fatal(err)
 		}

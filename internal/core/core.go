@@ -38,17 +38,14 @@ import (
 // (reader choice, lenient decoding, stats surfacing). RunTrace operates
 // on an already-decoded trace, so it uses only the model half.
 type config struct {
-	model       dpg.Config
-	parallel    bool
-	workers     int
-	lenient     bool
-	statsOut    *trace.Stats
-	preStats    *dpg.PreStats
-	speculate   bool
-	specWorkers int
-	specStats   *dpg.SpecStats
-	ctx         context.Context
-	observers   []analysis.Observer
+	model     dpg.Config
+	parallel  bool
+	workers   int
+	lenient   bool
+	statsOut  *trace.Stats
+	preStats  *dpg.PreStats
+	ctx       context.Context
+	observers []analysis.Observer
 }
 
 // Option configures RunTrace and AnalyzeFile.
@@ -122,25 +119,6 @@ func WithPreStats(ps *dpg.PreStats) Option {
 	return func(c *config) { c.preStats = ps }
 }
 
-// WithSpeculation runs the model pass epoch-speculatively with up to n
-// predictor chains (0 = min(cores, 4)). Results are byte-identical to the
-// sequential pass for every configuration — speculation is validated
-// against state digests and replayed on divergence, never trusted — so
-// only throughput changes. Predictors without checkpoint support fall back
-// to the sequential pass (see dpg.SpecStats.Fallback).
-func WithSpeculation(n int) Option {
-	return func(c *config) {
-		c.speculate = true
-		c.specWorkers = n
-	}
-}
-
-// WithSpecStats points at a location the speculative pass fills with its
-// run statistics (epochs, chains, divergences, replays, fallback).
-func WithSpecStats(st *dpg.SpecStats) Option {
-	return func(c *config) { c.specStats = st }
-}
-
 // WithObservers registers streaming experiment observers
 // (analysis.Observer) onto AnalyzeFile's decode: one pass over the trace
 // serves the model and every observer (via analysis.RunObservers), so a
@@ -151,29 +129,20 @@ func WithSpecStats(st *dpg.SpecStats) Option {
 // *analysis.ObserverError joined into the returned error without
 // corrupting sibling observers; as with any AnalyzeFile failure, the
 // returned Result is nil on error (the observers' own accumulated state
-// remains readable regardless). WithSpeculation is ignored while observers
-// are registered — the fused pass runs the sequential model.
+// remains readable regardless).
 func WithObservers(obs ...analysis.Observer) Option {
 	return func(c *config) { c.observers = append(c.observers, obs...) }
 }
 
 // WithContext binds an analysis to ctx: once ctx is cancelled or its
-// deadline passes, AnalyzeFile aborts promptly — decode workers, the
-// pre-pass, and the speculative pass all stop within the current block —
+// deadline passes, AnalyzeFile aborts promptly — decode workers and the
+// pre-pass stop within the current block, and the model pass with them —
 // and returns an error matching ErrAborted (and the context's own error
 // via errors.Is). AnalyzeFiles additionally stops launching new files once
 // the context ends, marking the unstarted ones with ErrAborted. A nil ctx
 // (the default) disables cancellation entirely.
 func WithContext(ctx context.Context) Option {
 	return func(c *config) { c.ctx = ctx }
-}
-
-// specConfig translates the speculation half of the config for dpg.
-func (c *config) specConfig() dpg.SpecConfig {
-	return dpg.SpecConfig{
-		Workers: c.specWorkers,
-		Stats:   c.specStats,
-	}
 }
 
 // readerOpts translates the ingestion half of the config into reader
@@ -232,9 +201,6 @@ func RunTrace(t *trace.Trace, opts ...Option) (*dpg.Result, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.speculate {
-		return dpg.RunSpeculative(t, cfg.model, cfg.specConfig())
 	}
 	return dpg.RunWith(t, cfg.model)
 }

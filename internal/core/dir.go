@@ -15,12 +15,11 @@ import (
 // every regular file (symlinks followed) whose name ends in .dpg at that
 // moment is analysed, and files created after the listing are not. The
 // files go through AnalyzeFiles with up to parallel concurrent analyses,
-// each of which may itself run speculative chains under WithSpeculation.
-// The partial Results are combined with dpg.MergeResults; merging is exact
+// each running the sequential model pass. The partial Results are combined with dpg.MergeResults; merging is exact
 // summation — every count and histogram of the aggregate equals what a
 // single Result over the concatenated populations would hold — and the
 // merge folds in sorted path order, so the aggregate is independent of the
-// parallel/speculation configuration.
+// parallel and decode-worker configuration.
 //
 // The per-file outcomes are always returned (in sorted path order) for
 // inspection alongside the aggregate. Any per-file failure fails the whole

@@ -41,8 +41,8 @@ func writeTraceDir(t *testing.T, names ...string) (string, []string) {
 }
 
 // TestAnalyzeDirMergeParity is the directory-merge differential: the
-// aggregate AnalyzeDir computes — under any mix of fan-out parallelism,
-// decode workers, and speculation — must be byte-identical to
+// aggregate AnalyzeDir computes — under any mix of fan-out parallelism
+// and decode workers — must be byte-identical to
 // merging sequential per-file analyses by hand.
 func TestAnalyzeDirMergeParity(t *testing.T) {
 	dir, paths := writeTraceDir(t, "fig1", "gcc", "com")
@@ -63,11 +63,10 @@ func TestAnalyzeDirMergeParity(t *testing.T) {
 	want.Name = filepath.Base(dir) // distinct workload names merge to the dir name
 
 	configs := map[string][]Option{
-		"sequential":         base,
-		"parallel-decode":    append([]Option{WithWorkers(2)}, base...),
-		"speculative":        append([]Option{WithSpeculation(4)}, base...),
-		"speculative-decode": append([]Option{WithSpeculation(2), WithWorkers(2)}, base...),
-		"speculative-auto":   append([]Option{WithSpeculation(0)}, base...),
+		"sequential":        base,
+		"parallel-decode":   append([]Option{WithWorkers(2)}, base...),
+		"parallel-decode-4": append([]Option{WithWorkers(4)}, base...),
+		"parallel-auto":     append([]Option{WithWorkers(0)}, base...),
 	}
 	for name, opts := range configs {
 		for _, parallel := range []int{1, 3} {

@@ -84,10 +84,7 @@ func AnalyzeFile(path string, opts ...Option) (*dpg.Result, error) {
 		return analyzeObservers(path, name, counts, &cfg)
 	}
 
-	// Pass 2: stream events through the sequential model pass — or, under
-	// WithSpeculation, through the epoch-speculative pass, which overlaps
-	// the predictor chains with the classification sweep while producing
-	// byte-identical results.
+	// Pass 2: stream events through the sequential model pass.
 	r, f, err := openTraceReader(path, &cfg)
 	if err != nil {
 		return nil, err
@@ -95,9 +92,6 @@ func AnalyzeFile(path string, opts ...Option) (*dpg.Result, error) {
 	defer f.Close()
 	defer r.Close()
 	noteDecode(path)
-	if cfg.speculate {
-		return analyzeSpeculative(path, r, name, counts, &cfg)
-	}
 	b, err := dpg.NewBuilder(name, counts, cfg.model)
 	if err != nil {
 		return nil, err
@@ -120,60 +114,6 @@ func AnalyzeFile(path string, opts ...Option) (*dpg.Result, error) {
 		*cfg.statsOut = r.Stats()
 	}
 	return b.Finish()
-}
-
-// analyzeSpeculative is AnalyzeFile's second pass under WithSpeculation:
-// it batches the reader's events into blocks and feeds them to the
-// epoch-speculative model pass. The error contract matches the sequential
-// path exactly: read errors and model errors both surface as
-// "core: streaming <path>: ..." with the same underlying taxonomy.
-func analyzeSpeculative(path string, r traceReader, name string, counts []uint64, cfg *config) (*dpg.Result, error) {
-	s, err := dpg.NewSpecRun(name, counts, cfg.model, cfg.specConfig())
-	if err != nil {
-		return nil, err
-	}
-	const batch = 4096
-	buf := make([]trace.Event, 0, batch)
-	idx := uint64(0)
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
-		}
-		err := s.ObserveBlock(idx, buf)
-		idx++
-		buf = buf[:0] // SpecRun copies; the batch buffer is reusable
-		return err
-	}
-	var e trace.Event
-	for {
-		err := r.Next(&e)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("core: streaming %s: %w", path, wrapTraceErr(err))
-		}
-		buf = append(buf, e)
-		if len(buf) == batch {
-			if err := flush(); err != nil {
-				s.Close()
-				return nil, fmt.Errorf("core: streaming %s: %w", path, err)
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		s.Close()
-		return nil, fmt.Errorf("core: streaming %s: %w", path, err)
-	}
-	if cfg.statsOut != nil {
-		*cfg.statsOut = r.Stats()
-	}
-	res, err := s.Finish()
-	if err != nil {
-		return nil, fmt.Errorf("core: streaming %s: %w", path, err)
-	}
-	return res, nil
 }
 
 // scanCounts obtains the static execution counts and workload name the

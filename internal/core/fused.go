@@ -31,7 +31,7 @@ const (
 	// suiteReuseBits sizes the reuse buffer (2^16 = 64K entries).
 	suiteReuseBits = 16
 	// suiteSpecNever is a threshold above counter saturation: the
-	// speculation experiment's never-speculate baseline.
+	// speculation experiment's no-speculation baseline.
 	suiteSpecNever = 8
 )
 
@@ -302,7 +302,7 @@ func (s *Suite) ilpStats(name string) ([]analysis.ILPStats, error) {
 	return out, nil
 }
 
-// speculationStats returns the never-speculate baseline plus the stats at
+// speculationStats returns the no-speculation baseline plus the stats at
 // each swept threshold for one workload.
 func (s *Suite) speculationStats(name string) (analysis.SpecStats, map[uint8]analysis.SpecStats, error) {
 	if path, ok := s.traceFilePath(name); ok {

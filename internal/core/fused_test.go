@@ -161,8 +161,7 @@ func TestAnalyzeFileDecodeCounts(t *testing.T) {
 }
 
 // TestAnalyzeFileObserversParity checks WithObservers changes nothing
-// about the model result, the observers see exactly the event stream, and
-// WithSpeculation is ignored while observers are registered.
+// about the model result and the observers see exactly the event stream.
 func TestAnalyzeFileObserversParity(t *testing.T) {
 	dir := t.TempDir()
 	path, tr := writeScaledTrace(t, dir, "gcc", 0.05)
@@ -192,7 +191,6 @@ func TestAnalyzeFileObserversParity(t *testing.T) {
 		ilp := analysis.NewILPSim("gcc", predictor.KindContext)
 		got, err := AnalyzeFile(path,
 			WithKind(predictor.KindContext), WithWorkers(workers),
-			WithSpeculation(4), // must be a no-op under observers
 			WithObservers(reuse, ilp, conf, spec))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -74,51 +74,6 @@ func checkInvariants(t *testing.T, r *Result) {
 	if r.DArcs > r.Arcs {
 		t.Error("D arcs exceed arcs")
 	}
-	// Propagating elements = propagating arcs + propagating nodes.
-	wantElems := r.ArcTotal(ArcPP) + r.NodeProp()
-	if r.Path.Elems != wantElems {
-		t.Errorf("path elems %d != pp arcs + prop nodes %d", r.Path.Elems, wantElems)
-	}
-	var comboSum, numGenSum, distSum uint64
-	for _, c := range r.Path.ComboElems {
-		comboSum += c
-	}
-	for _, c := range r.Path.NumGenHist {
-		numGenSum += c
-	}
-	for _, c := range r.Path.DistHist {
-		distSum += c
-	}
-	if comboSum != r.Path.Elems || numGenSum != r.Path.Elems || distSum != r.Path.Elems {
-		t.Errorf("path histograms inconsistent: combo=%d numgen=%d dist=%d elems=%d",
-			comboSum, numGenSum, distSum, r.Path.Elems)
-	}
-	// Every propagating element is influenced by at least one generator.
-	if r.Path.NumGenHist[0] != 0 {
-		t.Errorf("%d propagating elements with empty influence", r.Path.NumGenHist[0])
-	}
-	if r.Path.ComboElems[0] != 0 {
-		t.Errorf("%d propagating elements with empty class mask", r.Path.ComboElems[0])
-	}
-	// Generators = generating arcs + generating nodes.
-	wantGens := r.ArcTotal(ArcNP) + r.NodeGen()
-	if r.Trees.Gens != wantGens {
-		t.Errorf("generators %d != np arcs + gen nodes %d", r.Trees.Gens, wantGens)
-	}
-	var gensSum, sizeSum, classGens uint64
-	for b := 0; b < HistBuckets; b++ {
-		gensSum += r.Trees.GensByDepth[b]
-		sizeSum += r.Trees.SizeByDepth[b]
-	}
-	for _, c := range r.Trees.ClassGens {
-		classGens += c
-	}
-	if gensSum != r.Trees.Gens || classGens != r.Trees.Gens {
-		t.Errorf("tree gens inconsistent: depth=%d class=%d total=%d", gensSum, classGens, r.Trees.Gens)
-	}
-	if sizeSum != r.Trees.Size {
-		t.Errorf("tree sizes inconsistent: %d != %d", sizeSum, r.Trees.Size)
-	}
 	// Sequence accounting.
 	var seqInstr uint64
 	for _, c := range r.Seq.InstrByLen {
@@ -140,8 +95,59 @@ func checkInvariants(t *testing.T, r *Result) {
 			t.Errorf("class %s: group attribution %d != count %d", c, byGroup, r.NodeCount[c])
 		}
 	}
-	// Generate-point aggregation conserves the generator table.
-	if r.GenPoints != nil {
+	// Path and tree statistics exist only with path tracking, which a nil
+	// GenPoints marks as off: then they must be absent, not partial.
+	if r.GenPoints == nil {
+		if r.Path != (PathStats{}) || r.Trees != (TreeStats{}) {
+			t.Error("path-disabled Result carries path or tree statistics")
+		}
+	} else {
+		// Propagating elements = propagating arcs + propagating nodes.
+		wantElems := r.ArcTotal(ArcPP) + r.NodeProp()
+		if r.Path.Elems != wantElems {
+			t.Errorf("path elems %d != pp arcs + prop nodes %d", r.Path.Elems, wantElems)
+		}
+		var comboSum, numGenSum, distSum uint64
+		for _, c := range r.Path.ComboElems {
+			comboSum += c
+		}
+		for _, c := range r.Path.NumGenHist {
+			numGenSum += c
+		}
+		for _, c := range r.Path.DistHist {
+			distSum += c
+		}
+		if comboSum != r.Path.Elems || numGenSum != r.Path.Elems || distSum != r.Path.Elems {
+			t.Errorf("path histograms inconsistent: combo=%d numgen=%d dist=%d elems=%d",
+				comboSum, numGenSum, distSum, r.Path.Elems)
+		}
+		// Every propagating element is influenced by at least one generator.
+		if r.Path.NumGenHist[0] != 0 {
+			t.Errorf("%d propagating elements with empty influence", r.Path.NumGenHist[0])
+		}
+		if r.Path.ComboElems[0] != 0 {
+			t.Errorf("%d propagating elements with empty class mask", r.Path.ComboElems[0])
+		}
+		// Generators = generating arcs + generating nodes.
+		wantGens := r.ArcTotal(ArcNP) + r.NodeGen()
+		if r.Trees.Gens != wantGens {
+			t.Errorf("generators %d != np arcs + gen nodes %d", r.Trees.Gens, wantGens)
+		}
+		var gensSum, sizeSum, classGens uint64
+		for b := 0; b < HistBuckets; b++ {
+			gensSum += r.Trees.GensByDepth[b]
+			sizeSum += r.Trees.SizeByDepth[b]
+		}
+		for _, c := range r.Trees.ClassGens {
+			classGens += c
+		}
+		if gensSum != r.Trees.Gens || classGens != r.Trees.Gens {
+			t.Errorf("tree gens inconsistent: depth=%d class=%d total=%d", gensSum, classGens, r.Trees.Gens)
+		}
+		if sizeSum != r.Trees.Size {
+			t.Errorf("tree sizes inconsistent: %d != %d", sizeSum, r.Trees.Size)
+		}
+		// Generate-point aggregation conserves the generator table.
 		var gens, size uint64
 		for _, gp := range r.GenPoints {
 			gens += gp.Gens

@@ -89,7 +89,8 @@ func expectedMerge(t *testing.T, results []*Result) *Result {
 
 // TestMergeResultsDifferential checks MergeResults against the reflection
 // oracle across predictor kinds, so a Result field added later cannot be
-// silently dropped from the merge.
+// silently dropped from the merge, and checks the merged Result keeps the
+// accounting invariants every single run satisfies.
 func TestMergeResultsDifferential(t *testing.T) {
 	for _, kind := range []predictor.Kind{predictor.KindLast, predictor.KindContext} {
 		cfg := Config{Predictor: kind.Factory(), PredictorName: kind.String()}
@@ -102,6 +103,7 @@ func TestMergeResultsDifferential(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: MergeResults disagrees with the reflection oracle", kind)
 		}
+		checkInvariants(t, got)
 		if got.Name != "" {
 			t.Fatalf("distinct trace names merged to %q, want empty", got.Name)
 		}

@@ -1,9 +1,7 @@
 package dpg
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -13,11 +11,12 @@ import (
 )
 
 // This file is the epoch-speculative execution of the sequential model
-// pass. The pass is order-dependent because every event updates predictor
-// state later events' outcomes depend on — but each predictor *verdict* is
-// a pure function of the event stream and the Config (see predictorOracle).
-// That makes the predictor work, which dominates the pass, decomposable
-// into independent state units, one per predictor category of the paper:
+// pass over an in-memory trace. The pass is order-dependent because every
+// event updates predictor state later events' outcomes depend on — but
+// each predictor *verdict* is a pure function of the event stream and the
+// Config (see predictorOracle). That makes the predictor work, which
+// dominates the pass, decomposable into independent state units, one per
+// predictor category of the paper:
 //
 //	input   — the input-side value predictor (plus the output stream when
 //	          Config.SharedInputOutput aliases the two sides)
@@ -34,13 +33,13 @@ import (
 // state it has committed. On a mismatch (a diverged epoch — in practice
 // only inducible via the test-only corruption hook, since the chains
 // compute exact state) the committer rebuilds the unit from its last
-// trusted checkpoint snapshot, replays at most Checkpoint-1 epochs (the
-// replay bound), serves the epoch live, and resyncs the chain from a fresh
-// snapshot. A unit that keeps diverging is abandoned: the committer runs
-// it live for the rest of the trace, degrading gracefully to sequential
-// cost instead of thrashing on replays. All of this recovery machinery is
-// per unit: one poisoned unit replays alone while its siblings keep
-// speculating.
+// resync snapshot — or from the start of the trace, which stays resident —
+// replaying only the epochs committed since, serves the epoch live, and
+// resyncs the chain from a fresh snapshot. A unit that keeps diverging is
+// abandoned: the committer runs it live for the rest of the trace,
+// degrading gracefully to sequential cost instead of thrashing on replays.
+// All of this recovery machinery is per unit: one poisoned unit replays
+// alone while its siblings keep speculating.
 const (
 	// specLookahead is how many finished epochs a chain may buffer per unit
 	// before it blocks waiting for the committer.
@@ -48,13 +47,6 @@ const (
 	// maxSpecMisses is the number of consecutive diverged epochs after
 	// which the committer abandons speculation for a unit.
 	maxSpecMisses = 3
-	// DefaultSpecCheckpoint is the default checkpoint interval: chains
-	// materialize a full state snapshot every this many epochs, bounding
-	// divergence replay to Checkpoint-1 epochs.
-	DefaultSpecCheckpoint = 8
-	// DefaultSpecEpochEvents is the default epoch length, in events, for
-	// the streaming SpecRun.
-	DefaultSpecEpochEvents = 1 << 16
 )
 
 // SpecConfig parameterises a speculative run.
@@ -64,24 +56,14 @@ type SpecConfig struct {
 	// either way the count is clamped to the units in play: 4, or 3 under
 	// SharedInputOutput.
 	Workers int
-	// Epochs is the number of epochs the in-memory RunSpeculative splits
-	// the trace into. <= 0 picks 4 per chain. Epoch boundaries never
-	// change any model figure (the test battery proves this); they only
-	// trade pipelining granularity against snapshot overhead.
-	Epochs int
-	// EpochEvents is the epoch length, in events, used by the streaming
-	// SpecRun. <= 0 uses DefaultSpecEpochEvents.
-	EpochEvents int
-	// Checkpoint is the snapshot interval in epochs — the divergence
-	// replay bound. <= 0 uses DefaultSpecCheckpoint for streaming runs
-	// (SpecRun), where the interval also bounds the retained event
-	// window; in-memory runs (RunSpeculative) default to no periodic
-	// snapshots, since every epoch stays resident and a divergence can
-	// always replay from the start of the trace.
-	Checkpoint int
 	// Stats, when non-nil, receives run statistics on success.
 	Stats *SpecStats
 
+	// epochs is the test-only epoch count: the number of epochs the trace
+	// is split into. <= 0 picks 4 per chain. Epoch boundaries never change
+	// any model figure (the test battery proves this); they only trade
+	// pipelining granularity against per-epoch overhead.
+	epochs int
 	// corrupt, when non-nil, is the test-only chaos hook: it is asked
 	// before a chain processes (unit, epoch) and, when it returns true,
 	// the unit's state is poisoned first, forcing the committer to detect
@@ -96,7 +78,7 @@ type SpecStats struct {
 	Units        int  // units in play (chains share them)
 	Diverged     int  // epoch records rejected by the entry-digest check
 	Replayed     int  // epochs served live after a divergence
-	ReplayEpochs int  // epochs re-executed to rebuild state from a checkpoint
+	ReplayEpochs int  // epochs re-executed to rebuild state after a divergence
 	Resyncs      int  // chain resynchronisations issued
 	Abandoned    int  // units permanently switched to live execution
 	Fallback     bool // predictor lacks checkpoint support; ran sequentially
@@ -177,11 +159,10 @@ type unitRecord struct {
 	unit     unitKind
 	gen      int // speculation generation; bumped by every resync
 	epoch    int
-	entryDig uint64             // state digest at epoch entry — the divergence check
-	exitDig  uint64             // state digest at epoch exit
-	snap     predictor.Snapshot // exit-state checkpoint, on checkpoint epochs
-	a, b     bitstream          // verdicts (b: output stream of a shared input unit)
-	err      error              // first event-validation failure inside the epoch
+	entryDig uint64    // state digest at epoch entry — the divergence check
+	exitDig  uint64    // state digest at epoch exit
+	a, b     bitstream // verdicts (b: output stream of a shared input unit)
+	err      error     // first event-validation failure inside the epoch
 }
 
 // resyncMsg rewinds one unit of a chain to a committer-provided state, or
@@ -298,8 +279,7 @@ func (u *chainUnit) reset() {
 
 // processEpoch speculates one epoch: validate each event with exactly the
 // committer's acceptance rule (checkModelEvent), advance the unit, record
-// the verdicts. The record carries entry/exit digests and, on checkpoint
-// epochs, a full snapshot the committer can later replay from.
+// the verdicts. The record carries the entry and exit state digests.
 func (u *chainUnit) processEpoch(r *specRun, epoch int, events []trace.Event) *unitRecord {
 	if f := r.spec.corrupt; f != nil && f(u.unit, epoch) {
 		u.poison()
@@ -314,9 +294,6 @@ func (u *chainUnit) processEpoch(r *specRun, epoch int, events []trace.Event) *u
 		u.observe(e, &rec.a, &rec.b)
 	}
 	rec.exitDig = u.ck.Digest()
-	if rec.err == nil && (epoch+1)%r.checkpoint == 0 {
-		rec.snap = u.ck.Snapshot()
-	}
 	return rec
 }
 
@@ -363,114 +340,10 @@ func (c *chain) apply(m resyncMsg) {
 	}
 }
 
-// epoch store -------------------------------------------------------------
-
-type epochStatus int
-
-const (
-	epochReady epochStatus = iota
-	epochEOF
-	epochGone
-	epochAborted
-)
-
-// epochStore hands epochs of the event stream to the chains and the
-// committer. The in-memory runner prefills it with subslices of the trace
-// (window 0: unbounded, nothing is copied); the streaming runner feeds it
-// under a bounded retention window, which both backpressures the producer
-// and keeps every epoch a divergence replay could need resident.
-type epochStore struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	epochs  [][]trace.Event // epochs[i-base]
-	base    int
-	next    int
-	window  int // 0 = unbounded
-	eof     bool
-	aborted bool
-}
-
-func newEpochStore(window int) *epochStore {
-	s := &epochStore{window: window}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// put appends one epoch, blocking while the retention window is full. It
-// reports false when the store was aborted.
-func (s *epochStore) put(events []trace.Event) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.window > 0 && s.next-s.base >= s.window && !s.aborted {
-		s.cond.Wait()
-	}
-	if s.aborted {
-		return false
-	}
-	s.epochs = append(s.epochs, events)
-	s.next++
-	s.cond.Broadcast()
-	return true
-}
-
-// finish marks the end of the stream.
-func (s *epochStore) finish() {
-	s.mu.Lock()
-	s.eof = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// get returns epoch i, blocking until it is available.
-func (s *epochStore) get(i int) ([]trace.Event, epochStatus) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		switch {
-		case s.aborted:
-			return nil, epochAborted
-		case i < s.base:
-			return nil, epochGone
-		case i < s.next:
-			return s.epochs[i-s.base], epochReady
-		case s.eof:
-			return nil, epochEOF
-		}
-		s.cond.Wait()
-	}
-}
-
-// release drops every epoch below newBase from the retention window.
-func (s *epochStore) release(newBase int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if newBase > s.next {
-		newBase = s.next
-	}
-	if newBase <= s.base {
-		return
-	}
-	drop := newBase - s.base
-	n := copy(s.epochs, s.epochs[drop:])
-	for k := n; k < len(s.epochs); k++ {
-		s.epochs[k] = nil
-	}
-	s.epochs = s.epochs[:n]
-	s.base = newBase
-	s.cond.Broadcast()
-}
-
-func (s *epochStore) abort() {
-	s.mu.Lock()
-	s.aborted = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
 // committer ---------------------------------------------------------------
 
 // unitCommit is the committer's view of one unit: the trusted state digest
-// and checkpoint, the record stream from the unit's chain, and the live
+// and resync snapshot, the record stream from the unit's chain, and the live
 // replica used for divergence recovery.
 type unitCommit struct {
 	unit    unitKind
@@ -481,8 +354,8 @@ type unitCommit struct {
 	expect int    // epoch of the next record this unit's chain owes us
 	dig    uint64 // digest of the committed state at the current boundary
 
-	snap      predictor.Snapshot // last trusted checkpoint (nil = initial state)
-	snapEpoch int                // boundary the checkpoint sits at
+	snap      predictor.Snapshot // last resync snapshot (nil = initial state)
+	snapEpoch int                // boundary the snapshot sits at
 
 	live     *chainUnit // committer-owned replica, built on first divergence
 	liveAt   int        // boundary the replica's state sits at (-1 = unset)
@@ -494,16 +367,12 @@ type unitCommit struct {
 }
 
 // fetch returns the next current-generation record, discarding speculation
-// that predates the unit's last resync. It gives up once done is closed: a
-// shut-down chain never sends the record the committer is waiting for.
-func (uc *unitCommit) fetch(done <-chan struct{}) (*unitRecord, error) {
+// that predates the unit's last resync. The unit's chain runs until the
+// committer shuts the run down or abandons the unit, so a record the
+// committer waits for always arrives.
+func (uc *unitCommit) fetch() (*unitRecord, error) {
 	for {
-		var rec *unitRecord
-		select {
-		case rec = <-uc.records:
-		case <-done:
-			return nil, fmt.Errorf("%w: run aborted", ErrSpeculation)
-		}
+		rec := <-uc.records
 		if rec.gen != uc.gen || rec.epoch < uc.expect {
 			continue // stale: produced before the chain saw our resync
 		}
@@ -563,39 +432,28 @@ func (o *specOracle) predictAddr(pc uint32, addr uint32) bool {
 	return ok && av == addr
 }
 
-// specEventError carries the global index of the event the committed pass
-// rejected, so each façade can format it per its own error contract.
-type specEventError struct {
-	idx uint64
-	err error
-}
-
-func (e *specEventError) Error() string { return e.err.Error() }
-func (e *specEventError) Unwrap() error { return e.err }
-
-// specRun is one speculative execution: the epoch store, the chains, and
-// the sequential committer.
+// specRun is one speculative execution: the trace split into epochs, the
+// chains, and the sequential committer. The epochs are subslices of the
+// in-memory trace, fixed before the chains start, so chains and committer
+// read them without locking and a divergence can replay any of them.
 type specRun struct {
 	cfg         Config
 	spec        SpecConfig
-	checkpoint  int
 	staticCount []uint64
 	shared      bool
 
 	m      *modelPass
 	oracle *specOracle
-	store  *epochStore
+	epochs [][]trace.Event
 	chains []*chain
 
 	commitUnits []*unitCommit
 	byKind      [numUnitKinds]*unitCommit // nil output unit under shared input/output
 
-	done      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
+	done chan struct{}
+	wg   sync.WaitGroup
 
-	stats     SpecStats
-	globalIdx uint64
+	stats SpecStats
 }
 
 // buildUnit constructs the execution state of one unit. Factory panics are
@@ -635,10 +493,10 @@ func (r *specRun) buildUnit(unit unitKind, reuse predictor.Predictor) (u *chainU
 	return u, nil
 }
 
-// newSpecRun prepares a speculative execution and starts its chains.
+// newSpecRun splits the trace into epochs and starts the chains over them.
 // fallback is true (with a nil run) when the configured predictor does not
 // support checkpointing; the caller then runs the plain sequential pass.
-func newSpecRun(name string, staticCount []uint64, cfg Config, spec SpecConfig, streaming bool) (run *specRun, fallback bool, err error) {
+func newSpecRun(t *trace.Trace, cfg Config, spec SpecConfig) (run *specRun, fallback bool, err error) {
 	if cfg.Predictor == nil {
 		return nil, false, fmt.Errorf("%w: Config.Predictor is required", ErrConfig)
 	}
@@ -662,23 +520,10 @@ func newSpecRun(name string, staticCount []uint64, cfg Config, spec SpecConfig, 
 	r := &specRun{
 		cfg:         cfg,
 		spec:        spec,
-		staticCount: staticCount,
+		staticCount: t.StaticCount,
 		shared:      cfg.SharedInputOutput,
 		oracle:      &specOracle{},
 		done:        make(chan struct{}),
-	}
-	r.checkpoint = spec.Checkpoint
-	if r.checkpoint <= 0 {
-		if streaming {
-			r.checkpoint = DefaultSpecCheckpoint
-		} else {
-			// In-memory runs retain every epoch's events for the whole
-			// pass, so replay-from-start is always available and periodic
-			// snapshots (a full predictor state copy each — megabytes for
-			// the context predictor) are pure overhead. Streaming runs
-			// need them: the snapshot interval bounds the retained window.
-			r.checkpoint = math.MaxInt
-		}
 	}
 
 	units := []unitKind{unitInput, unitOutput, unitBranch, unitAddr}
@@ -715,14 +560,17 @@ func newSpecRun(name string, staticCount []uint64, cfg Config, spec SpecConfig, 
 	r.stats.Chains = workers
 	r.stats.Units = len(units)
 
-	window := 0
-	if streaming {
-		// Retain enough epochs for the deepest replay (checkpoint-1 back)
-		// plus the chains' run-ahead.
-		window = r.checkpoint + specLookahead + 4
+	n := len(t.Events)
+	epochs := spec.epochs
+	if epochs <= 0 {
+		epochs = 4 * workers
 	}
-	r.store = newEpochStore(window)
-	r.m = newModelPassOracle(name, staticCount, cfg, predName, r.oracle)
+	epochs = max(1, min(epochs, max(n, 1)))
+	per := (n + epochs - 1) / epochs
+	for lo := 0; lo < n; lo += per {
+		r.epochs = append(r.epochs, t.Events[lo:min(lo+per, n)])
+	}
+	r.m = newModelPassOracle(t.Name, t.StaticCount, cfg, predName, r.oracle)
 
 	for _, c := range r.chains {
 		r.wg.Add(1)
@@ -737,12 +585,15 @@ func newSpecRun(name string, staticCount []uint64, cfg Config, spec SpecConfig, 
 func (r *specRun) runChain(c *chain) {
 	defer r.wg.Done()
 	for {
-		// Drain pending resyncs first so rewinds take effect promptly.
+		// Drain pending resyncs first so rewinds take effect promptly, and
+		// stop before more work once the run is shut down.
 		for {
 			select {
 			case m := <-c.resync:
 				c.apply(m)
 				continue
+			case <-r.done:
+				return
 			default:
 			}
 			break
@@ -751,11 +602,7 @@ func (r *specRun) runChain(c *chain) {
 		if u == nil {
 			return // every unit abandoned
 		}
-		events, st := r.store.get(u.next)
-		switch st {
-		case epochAborted, epochGone:
-			return
-		case epochEOF:
+		if u.next >= len(r.epochs) {
 			// Out of work unless the committer rewinds a unit.
 			select {
 			case m := <-c.resync:
@@ -765,7 +612,7 @@ func (r *specRun) runChain(c *chain) {
 			}
 			continue
 		}
-		rec := u.processEpoch(r, u.next, events)
+		rec := u.processEpoch(r, u.next, r.epochs[u.next])
 		u.next++
 		for rec != nil {
 			select {
@@ -783,16 +630,15 @@ func (r *specRun) runChain(c *chain) {
 	}
 }
 
-// shutdown stops the chains and reclaims them. Idempotent.
+// shutdown stops the chains and reclaims them.
 func (r *specRun) shutdown() {
-	r.closeOnce.Do(func() { close(r.done) })
-	r.store.abort()
+	close(r.done)
 	r.wg.Wait()
 }
 
 // ensureLiveAt brings the unit's live replica to the state at the entry of
-// epoch e: restore the last trusted checkpoint, then replay the committed
-// epochs in between (at most checkpoint-1 of them — the replay bound).
+// epoch e: restore the last resync snapshot (or reset to the initial
+// state), then replay the committed epochs in between.
 func (r *specRun) ensureLiveAt(uc *unitCommit, e int) error {
 	if uc.live == nil {
 		u, err := r.buildUnit(uc.unit, nil)
@@ -807,18 +653,15 @@ func (r *specRun) ensureLiveAt(uc *unitCommit, e int) error {
 	}
 	if uc.snap != nil {
 		if err := uc.live.ck.Restore(uc.snap); err != nil {
-			return fmt.Errorf("%w: restoring unit %s checkpoint: %v", ErrSpeculation, uc.unit, err)
+			return fmt.Errorf("%w: restoring unit %s snapshot: %v", ErrSpeculation, uc.unit, err)
 		}
 	} else {
 		uc.live.reset()
 	}
 	for k := uc.snapEpoch; k < e; k++ {
-		ev, st := r.store.get(k)
-		if st != epochReady {
-			return fmt.Errorf("%w: replay epoch %d for unit %s unavailable", ErrSpeculation, k, uc.unit)
-		}
 		// These epochs were already committed, so their events passed
 		// validation; replay them for their state effect only.
+		ev := r.epochs[k]
 		for i := range ev {
 			uc.live.observe(&ev[i], nil, nil)
 		}
@@ -830,13 +673,13 @@ func (r *specRun) ensureLiveAt(uc *unitCommit, e int) error {
 
 // acquire obtains the verdict source for unit uc at epoch e: the chain's
 // record if its entry digest matches the committed state, otherwise the
-// live replica rebuilt from the last trusted checkpoint.
+// live replica rebuilt from the last resync snapshot.
 func (r *specRun) acquire(uc *unitCommit, e int) error {
 	if uc.liveMode {
 		uc.rec = nil
 		return r.ensureLiveAt(uc, e)
 	}
-	rec, err := uc.fetch(r.done)
+	rec, err := uc.fetch()
 	if err != nil {
 		return err
 	}
@@ -888,10 +731,8 @@ func (r *specRun) armOracle() {
 }
 
 // settle closes epoch e: validate that adopted records were consumed
-// exactly, adopt exit digests and checkpoints, resync or abandon diverged
-// units, and release epochs no replay can need anymore.
+// exactly, adopt exit digests, and resync or abandon diverged units.
 func (r *specRun) settle(e int) error {
-	minKeep := e + 1
 	for _, uc := range r.commitUnits {
 		switch {
 		case uc.liveMode:
@@ -904,9 +745,6 @@ func (r *specRun) settle(e int) error {
 					ErrSpeculation, uc.unit, e)
 			}
 			uc.dig = rec.exitDig
-			if rec.snap != nil {
-				uc.snap, uc.snapEpoch = rec.snap, e+1
-			}
 		default:
 			// Served live after a divergence.
 			uc.liveAt = e + 1
@@ -925,29 +763,16 @@ func (r *specRun) settle(e int) error {
 				uc.ch.resync <- resyncMsg{unit: uc.unit, gen: uc.gen, epoch: e + 1, snap: snap}
 			}
 		}
-		keep := uc.snapEpoch
-		if uc.liveMode {
-			keep = e + 1
-		}
-		if keep < minKeep {
-			minKeep = keep
-		}
 	}
-	r.store.release(minKeep)
 	return nil
 }
 
-// commit runs the sequential classification sweep over the epoch stream,
-// consuming the chains' recorded verdicts.
+// commit runs the sequential classification sweep over the epochs,
+// consuming the chains' recorded verdicts. A rejected event is reported
+// with its index in the trace, as RunWith reports it.
 func (r *specRun) commit() (*Result, error) {
-	for e := 0; ; e++ {
-		events, st := r.store.get(e)
-		if st == epochEOF {
-			break
-		}
-		if st != epochReady {
-			return nil, fmt.Errorf("%w: epoch %d unavailable to committer", ErrSpeculation, e)
-		}
+	var idx uint64
+	for e, events := range r.epochs {
 		r.stats.Epochs++
 		for _, uc := range r.commitUnits {
 			if err := r.acquire(uc, e); err != nil {
@@ -957,10 +782,10 @@ func (r *specRun) commit() (*Result, error) {
 		r.armOracle()
 		for i := range events {
 			if err := r.m.Observe(&events[i]); err != nil {
-				return nil, &specEventError{idx: r.globalIdx + uint64(i), err: err}
+				return nil, fmt.Errorf("event %d: %w", idx+uint64(i), err)
 			}
 		}
-		r.globalIdx += uint64(len(events))
+		idx += uint64(len(events))
 		if err := r.settle(e); err != nil {
 			return nil, err
 		}
@@ -978,7 +803,7 @@ func RunSpeculative(t *trace.Trace, cfg Config, spec SpecConfig) (*Result, error
 	if t == nil {
 		return nil, fmt.Errorf("%w: nil trace", ErrConfig)
 	}
-	r, fallback, err := newSpecRun(t.Name, t.StaticCount, cfg, spec, false)
+	r, fallback, err := newSpecRun(t, cfg, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -991,24 +816,8 @@ func RunSpeculative(t *trace.Trace, cfg Config, spec SpecConfig) (*Result, error
 	}
 	defer r.shutdown()
 
-	n := len(t.Events)
-	epochs := spec.Epochs
-	if epochs <= 0 {
-		epochs = 4 * len(r.chains)
-	}
-	epochs = max(1, min(epochs, max(n, 1)))
-	per := (n + epochs - 1) / epochs
-	for lo := 0; lo < n; lo += per {
-		r.store.put(t.Events[lo:min(lo+per, n)])
-	}
-	r.store.finish()
-
 	res, err := r.commit()
 	if err != nil {
-		var ee *specEventError
-		if errors.As(err, &ee) {
-			err = fmt.Errorf("event %d: %w", ee.idx, ee.err)
-		}
 		return nil, err
 	}
 	if spec.Stats != nil {

@@ -61,7 +61,7 @@ func TestSpeculativeDifferential(t *testing.T) {
 				for _, workers := range workerCounts {
 					var st SpecStats
 					got, err := RunSpeculative(tr, cfg, SpecConfig{
-						Workers: workers, Epochs: epochs, Stats: &st,
+						Workers: workers, epochs: epochs, Stats: &st,
 					})
 					if err != nil {
 						t.Fatalf("%s/%s e=%d w=%d: %v", name, kind, epochs, workers, err)
@@ -84,8 +84,8 @@ func TestSpeculativeDifferential(t *testing.T) {
 }
 
 // TestSpeculativeMetamorphicEpochInvariance is the metamorphic suite:
-// epoch size and checkpoint interval are execution details and must never
-// change any figure of the Result.
+// the epoch count is an execution detail and must never change any figure
+// of the Result.
 func TestSpeculativeMetamorphicEpochInvariance(t *testing.T) {
 	tr := specTraces(t)["gcc"]
 	cfg := Config{Predictor: predictor.KindContext.Factory()}
@@ -94,14 +94,12 @@ func TestSpeculativeMetamorphicEpochInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, epochs := range []int{1, 2, 5, 7, 16, 64, 1000} {
-		for _, checkpoint := range []int{1, 2, 3, 100} {
-			got, err := RunSpeculative(tr, cfg, SpecConfig{Epochs: epochs, Checkpoint: checkpoint})
-			if err != nil {
-				t.Fatalf("e=%d ck=%d: %v", epochs, checkpoint, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("epochs=%d checkpoint=%d changed the Result", epochs, checkpoint)
-			}
+		got, err := RunSpeculative(tr, cfg, SpecConfig{epochs: epochs})
+		if err != nil {
+			t.Fatalf("e=%d: %v", epochs, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("epochs=%d changed the Result", epochs)
 		}
 	}
 }
@@ -131,7 +129,7 @@ func TestSpeculativeConfigMatrix(t *testing.T) {
 		}
 		for _, workers := range []int{1, 3, 8} {
 			var st SpecStats
-			got, err := RunSpeculative(tr, cfg, SpecConfig{Workers: workers, Epochs: 6, Stats: &st})
+			got, err := RunSpeculative(tr, cfg, SpecConfig{Workers: workers, epochs: 6, Stats: &st})
 			if err != nil {
 				t.Fatalf("%s w=%d: %v", name, workers, err)
 			}
@@ -174,8 +172,8 @@ func TestSpeculativeFallback(t *testing.T) {
 
 // TestSpeculativeAdversarialDivergence is the adversarial suite: the chaos
 // hook corrupts chain state so epochs mispredict, up to 100% of them. The
-// Result must stay byte-identical, recovery must stay within the
-// checkpoint replay bound, and under total corruption every unit must be
+// Result must stay byte-identical, recovery must never re-execute an epoch
+// twice for one unit, and under total corruption every unit must be
 // abandoned — graceful degradation to sequential cost instead of replay
 // thrash.
 func TestSpeculativeAdversarialDivergence(t *testing.T) {
@@ -193,11 +191,11 @@ func TestSpeculativeAdversarialDivergence(t *testing.T) {
 		"every-third": func(_ unitKind, e int) bool { return e%3 == 0 },
 		"one-epoch":   func(_ unitKind, e int) bool { return e == 2 },
 	}
-	const epochs, checkpoint = 12, 3
+	const epochs = 12
 	for name, hook := range hooks {
 		for _, workers := range []int{1, 4} {
 			var st SpecStats
-			spec := SpecConfig{Workers: workers, Epochs: epochs, Checkpoint: checkpoint, Stats: &st}
+			spec := SpecConfig{Workers: workers, Stats: &st, epochs: epochs}
 			spec.corrupt = hook
 			got, err := RunSpeculative(tr, cfg, spec)
 			if err != nil {
@@ -207,9 +205,11 @@ func TestSpeculativeAdversarialDivergence(t *testing.T) {
 			if st.Diverged == 0 {
 				t.Fatalf("%s: chaos hook induced no divergence: %+v", name, st)
 			}
-			// Each recovery replays at most Checkpoint-1 committed epochs.
-			if st.ReplayEpochs > st.Diverged*(checkpoint-1) {
-				t.Fatalf("%s: replay bound exceeded: %+v", name, st)
+			// A recovery replays only the epochs committed since the unit's
+			// last resync, and the diverged epoch itself is served live, so
+			// per unit no epoch is executed live twice.
+			if st.ReplayEpochs+st.Diverged > st.Units*epochs {
+				t.Fatalf("%s: an epoch was replayed twice: %+v", name, st)
 			}
 			if name == "all" {
 				if st.Abandoned != st.Units {
@@ -247,7 +247,7 @@ func TestSpeculativeMalformedEvent(t *testing.T) {
 		}
 		for _, workers := range []int{1, 4} {
 			_, gotErr := RunSpeculative(tr, Config{Predictor: predictor.KindLast.Factory()},
-				SpecConfig{Workers: workers, Epochs: 7})
+				SpecConfig{Workers: workers, epochs: 7})
 			if gotErr == nil {
 				t.Fatalf("pos %d w=%d: speculative pass accepted malformed event", pos, workers)
 			}
@@ -275,9 +275,6 @@ func TestSpeculativeConfigErrors(t *testing.T) {
 	if _, err := RunSpeculative(tr, bad, SpecConfig{}); !errors.Is(err, ErrConfig) {
 		t.Fatalf("panicking factory: err = %v, want ErrConfig", err)
 	}
-	if _, err := NewSpecRun("x", nil, Config{}, SpecConfig{}); !errors.Is(err, ErrConfig) {
-		t.Fatalf("NewSpecRun nil factory: err = %v, want ErrConfig", err)
-	}
 }
 
 // TestSpeculativeEmptyTrace runs the degenerate cases: zero events, and
@@ -289,7 +286,7 @@ func TestSpeculativeEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSpeculative(empty, cfg, SpecConfig{Epochs: 16})
+	got, err := RunSpeculative(empty, cfg, SpecConfig{epochs: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,194 +301,21 @@ func TestSpeculativeEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = RunSpeculative(tiny, cfg, SpecConfig{Epochs: 1000, Workers: 4})
+	got, err = RunSpeculative(tiny, cfg, SpecConfig{epochs: 1000, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustEqualResults(t, "tiny", got, want)
 }
 
-// feedSpecRun streams a trace into a SpecRun in blocks of the given size.
-func feedSpecRun(t *testing.T, s *SpecRun, tr *trace.Trace, blockSize int) {
-	t.Helper()
-	idx := uint64(0)
-	for lo := 0; lo < len(tr.Events); lo += blockSize {
-		hi := min(lo+blockSize, len(tr.Events))
-		if err := s.ObserveBlock(idx, tr.Events[lo:hi]); err != nil {
-			t.Fatalf("ObserveBlock %d: %v", idx, err)
-		}
-		idx++
-	}
-}
-
-// TestSpecRunStreamingDifferential checks the streaming façade: blocks in,
-// identical Result out, across epoch sizes that divide blocks unevenly.
-func TestSpecRunStreamingDifferential(t *testing.T) {
-	for name, tr := range specTraces(t) {
-		cfg := Config{Predictor: predictor.KindStride.Factory()}
-		want, err := RunWith(tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, epochEvents := range []int{97, 1024, 1 << 20} {
-			for _, workers := range []int{1, 4} {
-				var st SpecStats
-				s, err := NewSpecRun(tr.Name, tr.StaticCount, cfg,
-					SpecConfig{Workers: workers, EpochEvents: epochEvents, Checkpoint: 2, Stats: &st})
-				if err != nil {
-					t.Fatal(err)
-				}
-				feedSpecRun(t, s, tr, 333)
-				got, err := s.Finish()
-				if err != nil {
-					t.Fatalf("%s epoch=%d w=%d: %v", name, epochEvents, workers, err)
-				}
-				mustEqualResults(t, name, got, want)
-				if st.Diverged != 0 || st.Fallback {
-					t.Fatalf("%s: unexpected stats %+v", name, st)
-				}
-			}
-		}
-	}
-}
-
-// TestSpecRunStreamingChaos drives the chaos hook through the streaming
-// façade, with the bounded retention window in play.
-func TestSpecRunStreamingChaos(t *testing.T) {
-	tr := specTraces(t)["gcc"]
-	cfg := Config{Predictor: predictor.KindContext.Factory()}
-	want, err := RunWith(tr, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st SpecStats
-	spec := SpecConfig{Workers: 4, EpochEvents: len(tr.Events)/9 + 1, Checkpoint: 2, Stats: &st}
-	spec.corrupt = func(_ unitKind, e int) bool { return e%2 == 1 }
-	s, err := NewSpecRun(tr.Name, tr.StaticCount, cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedSpecRun(t, s, tr, 1000)
-	got, err := s.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualResults(t, "streaming-chaos", got, want)
-	if st.Diverged == 0 {
-		t.Fatalf("chaos hook induced no divergence: %+v", st)
-	}
-}
-
-// TestSpecRunStreamingErrors checks the streaming error contract: a
-// malformed event surfaces the bare model error (no event index — the
-// caller owns stream position), block reordering is rejected, and Close
-// abandons a half-fed run cleanly.
-func TestSpecRunStreamingErrors(t *testing.T) {
-	tr := specTraces(t)["fig1"]
-	cfg := Config{Predictor: predictor.KindLast.Factory()}
-
-	bad := append([]trace.Event(nil), tr.Events...)
-	bad[len(bad)/2].NSrc = 3
-	s, err := NewSpecRun(tr.Name, tr.StaticCount, cfg, SpecConfig{EpochEvents: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var feedErr error
-	for lo, idx := 0, uint64(0); lo < len(bad); lo, idx = lo+100, idx+1 {
-		if feedErr = s.ObserveBlock(idx, bad[lo:min(lo+100, len(bad))]); feedErr != nil {
-			break
-		}
-	}
-	if feedErr == nil {
-		_, feedErr = s.Finish()
-	} else {
-		s.Close()
-	}
-	if !errors.Is(feedErr, ErrMalformedEvent) {
-		t.Fatalf("streaming malformed event: err = %v, want ErrMalformedEvent", feedErr)
-	}
-
-	s2, err := NewSpecRun(tr.Name, tr.StaticCount, cfg, SpecConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.ObserveBlock(0, tr.Events[:10]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.ObserveBlock(5, tr.Events[10:20]); !errors.Is(err, ErrConfig) {
-		t.Fatalf("out-of-order block: err = %v, want ErrConfig", err)
-	}
-	s2.Close()
-
-	// Close with no feed at all.
-	s3, err := NewSpecRun(tr.Name, tr.StaticCount, cfg, SpecConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s3.Close()
-}
-
-// TestSpecRunCloseWhileCommitterWaits pins Close against a committer
-// blocked on a record its chain will never send: one chain holds every
-// unit, the input unit stalls inside epoch 1 until the store is aborted,
-// and the chain then exits at its next epoch fetch, leaving the committer
-// waiting for the output unit's epoch-1 record. Close must still return.
-func TestSpecRunCloseWhileCommitterWaits(t *testing.T) {
-	tr := specTraces(t)["fig1"]
-	cfg := Config{Predictor: predictor.KindLast.Factory()}
-	release := make(chan struct{})
-	spec := SpecConfig{Workers: 1, EpochEvents: 64, Checkpoint: 1}
-	spec.corrupt = func(u unitKind, e int) bool {
-		if u == unitInput && e == 1 {
-			<-release
-		}
-		return false
-	}
-	s, err := NewSpecRun(tr.Name, tr.StaticCount, cfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ObserveBlock(0, tr.Events[:3*64]); err != nil {
-		t.Fatal(err)
-	}
-	// With a checkpoint every epoch, the committer releases epoch 0 once
-	// it has settled it; the pause lets it reach the epoch-1 wait. Correct
-	// code passes however the two race; the pause only makes the stall
-	// this test guards against reachable.
-	for base := 0; base < 1; {
-		s.r.store.mu.Lock()
-		base = s.r.store.base
-		s.r.store.mu.Unlock()
-		runtime.Gosched()
-	}
-	time.Sleep(20 * time.Millisecond)
-	closed := make(chan struct{})
-	go func() {
-		s.Close()
-		close(closed)
-	}()
-	for aborted := false; !aborted; {
-		s.r.store.mu.Lock()
-		aborted = s.r.store.aborted
-		s.r.store.mu.Unlock()
-		runtime.Gosched()
-	}
-	close(release)
-	select {
-	case <-closed:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close hung with the committer waiting on an exited chain")
-	}
-}
-
-// TestSpeculativeNoGoroutineLeak verifies every path — success, fallback,
-// error, and abandoned stream — reclaims its chain goroutines.
+// TestSpeculativeNoGoroutineLeak verifies the success and error paths
+// both reclaim their chain goroutines.
 func TestSpeculativeNoGoroutineLeak(t *testing.T) {
 	tr := specTraces(t)["fig1"]
 	cfg := Config{Predictor: predictor.KindLast.Factory()}
 	base := runtime.NumGoroutine()
 
-	if _, err := RunSpeculative(tr, cfg, SpecConfig{Workers: 4, Epochs: 8}); err != nil {
+	if _, err := RunSpeculative(tr, cfg, SpecConfig{Workers: 4, epochs: 8}); err != nil {
 		t.Fatal(err)
 	}
 	bad := &trace.Trace{
@@ -502,14 +326,6 @@ func TestSpeculativeNoGoroutineLeak(t *testing.T) {
 	if _, err := RunSpeculative(bad, cfg, SpecConfig{Workers: 4}); err == nil {
 		t.Fatal("expected error")
 	}
-	s, err := NewSpecRun(tr.Name, tr.StaticCount, cfg, SpecConfig{EpochEvents: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ObserveBlock(0, tr.Events[:200]); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {

@@ -73,6 +73,7 @@ func TestResultWireRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, r) {
 			t.Fatalf("%s: decode(encode(r)) != r", name)
 		}
+		checkInvariants(t, got)
 		// The nil/empty GenPoints distinction must survive.
 		if (got.GenPoints == nil) != (r.GenPoints == nil) {
 			t.Fatalf("%s: GenPoints nil-ness changed: %v -> %v", name, r.GenPoints == nil, got.GenPoints == nil)
@@ -100,6 +101,7 @@ func TestResultWireMergeOverWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkInvariants(t, dec)
 		over = append(over, dec)
 	}
 	got, err := MergeResults(over...)
@@ -109,6 +111,7 @@ func TestResultWireMergeOverWire(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("merge over wire-round-tripped partials differs from direct merge")
 	}
+	checkInvariants(t, got)
 }
 
 // TestResultWireRejects pins the decode taxonomy: every malformed shape is

@@ -4,8 +4,8 @@ import "sync"
 
 // jobOutcome is what one analysis job produces: either a response payload
 // (the /analyze report, or the /result wire-encoded partial) or a typed
-// job error. Degraded records whether the job ran with shed work (no
-// speculation, sequential decode).
+// job error. Degraded records whether the job ran with shed work
+// (sequential decode).
 type jobOutcome struct {
 	payload  *analysisPayload // /analyze jobs
 	wire     []byte           // /result jobs: dpg.EncodeResult bytes

@@ -184,12 +184,11 @@ func TestChaosShutdownMidJobLeakFree(t *testing.T) {
 	s, ts := testServer(t, func(c *Config) {
 		c.Workers = 1
 		c.DecodeWorkers = 4
-		c.Speculation = 2
 	})
 	gate := make(chan struct{})
-	s.beforeJob = func(ctx context.Context) {
+	s.beforeJob = func(j *job) {
 		close(gate)
-		<-ctx.Done() // hold the job until the drain forces cancellation
+		<-j.ctx.Done() // hold the job until the drain forces cancellation
 	}
 
 	done := make(chan int, 1)

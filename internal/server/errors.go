@@ -1,12 +1,12 @@
 // Package server implements dpgd: a long-running, fault-tolerant
-// predictability-analysis service over the streaming core built in PRs
-// 1–5. Untrusted BLKC trace uploads stream straight into the trace store
-// (never buffering a whole trace in memory), jobs run through a bounded
-// queue with explicit backpressure, every job carries a deadline and a
-// cancellation context plumbed down to the decode workers, panics are
-// isolated per job, identical requests are de-duplicated through a
-// content-addressed result cache with singleflight, and overload degrades
-// work (speculation, parallel decode) before it sheds jobs.
+// predictability-analysis service over the streaming core. Untrusted BLKC
+// trace uploads stream straight into the trace store (never buffering a
+// whole trace in memory), jobs run through a bounded queue with explicit
+// backpressure, every job carries a deadline and a cancellation context
+// plumbed down to the decode workers, panics are isolated per job,
+// identical requests are de-duplicated through a content-addressed result
+// cache with singleflight, and overload degrades work (parallel decode)
+// before it sheds jobs.
 package server
 
 import (

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/dpg"
 )
 
 // histogram is a fixed-bucket latency histogram (cumulative counts, like
@@ -82,16 +80,6 @@ type Metrics struct {
 	storeRetries atomic.Uint64 // transient trace-store I/O retries
 	spooledBytes atomic.Uint64
 
-	// Speculation (summed across speculative normal-mode jobs).
-	specJobs      atomic.Uint64 // jobs that ran the epoch-speculative pass
-	specChains    atomic.Uint64 // run-ahead chains launched
-	specUnits     atomic.Uint64 // speculative state units
-	specCommits   atomic.Uint64 // epochs committed
-	specDiverged  atomic.Uint64 // epoch validations that diverged
-	specReplays   atomic.Uint64 // divergence recoveries replayed
-	specAbandoned atomic.Uint64 // units abandoned to live mode
-	specFallback  atomic.Uint64 // jobs that fell back to the sequential pass
-
 	// Per-stage latency.
 	spoolHist   *histogram
 	queueHist   *histogram
@@ -147,21 +135,6 @@ func (m *Metrics) StoreRetries() uint64 { return m.storeRetries.Load() }
 // Inflight returns the number of jobs currently executing.
 func (m *Metrics) Inflight() int64 { return m.inflight.Load() }
 
-// observeSpec folds one speculative job's pass statistics into the
-// cumulative speculation counters.
-func (m *Metrics) observeSpec(st *dpg.SpecStats) {
-	m.specJobs.Add(1)
-	m.specChains.Add(uint64(st.Chains))
-	m.specUnits.Add(uint64(st.Units))
-	m.specCommits.Add(uint64(st.Epochs))
-	m.specDiverged.Add(uint64(st.Diverged))
-	m.specReplays.Add(uint64(st.Replayed))
-	m.specAbandoned.Add(uint64(st.Abandoned))
-	if st.Fallback {
-		m.specFallback.Add(1)
-	}
-}
-
 // write renders the metrics dump.
 func (m *Metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "dpgd_queue_depth %d\n", m.queueDepth())
@@ -184,14 +157,6 @@ func (m *Metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "dpgd_computations_total %d\n", m.computations.Load())
 	fmt.Fprintf(w, "dpgd_store_retries_total %d\n", m.storeRetries.Load())
 	fmt.Fprintf(w, "dpgd_spooled_bytes_total %d\n", m.spooledBytes.Load())
-	fmt.Fprintf(w, "dpgd_spec_jobs_total %d\n", m.specJobs.Load())
-	fmt.Fprintf(w, "dpgd_spec_chains_total %d\n", m.specChains.Load())
-	fmt.Fprintf(w, "dpgd_spec_units_total %d\n", m.specUnits.Load())
-	fmt.Fprintf(w, "dpgd_spec_commits_total %d\n", m.specCommits.Load())
-	fmt.Fprintf(w, "dpgd_spec_diverged_total %d\n", m.specDiverged.Load())
-	fmt.Fprintf(w, "dpgd_spec_replays_total %d\n", m.specReplays.Load())
-	fmt.Fprintf(w, "dpgd_spec_abandoned_units_total %d\n", m.specAbandoned.Load())
-	fmt.Fprintf(w, "dpgd_spec_fallback_jobs_total %d\n", m.specFallback.Load())
 	m.spoolHist.write(w, "dpgd_stage_spool_seconds")
 	m.queueHist.write(w, "dpgd_stage_queue_wait_seconds")
 	m.analyzeHist.write(w, "dpgd_stage_analyze_seconds")

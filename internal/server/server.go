@@ -44,16 +44,11 @@ type Config struct {
 	MaxUploadBytes int64
 	// CacheEntries bounds the result cache. Default 256.
 	CacheEntries int
-	// Speculation is the epoch-speculation degree (predictor chains) for
-	// normal-mode jobs. 0 selects the default of 2; a negative value or 1
-	// disables speculation. Degraded mode always runs without speculation.
-	Speculation int
 	// DecodeWorkers is the parallel-decode width for normal-mode jobs.
 	// Default GOMAXPROCS. Degraded mode always decodes sequentially.
 	DecodeWorkers int
 	// DegradedAt is the queue-fill fraction at which jobs start running in
-	// degraded mode (speculation and parallel decode shed before jobs
-	// are). Default 0.5.
+	// degraded mode (parallel decode shed before jobs are). Default 0.5.
 	DegradedAt float64
 	// StoreAttempts is the total tries per transient store operation.
 	// Default 4.
@@ -79,11 +74,6 @@ func (c *Config) fillDefaults() {
 	if c.CacheEntries <= 0 {
 		c.CacheEntries = 256
 	}
-	if c.Speculation < 0 {
-		c.Speculation = 0
-	} else if c.Speculation == 0 {
-		c.Speculation = 2
-	}
 	if c.DecodeWorkers <= 0 {
 		c.DecodeWorkers = runtime.GOMAXPROCS(0)
 	}
@@ -108,6 +98,7 @@ type job struct {
 	experiments []string // canonical (sorted, deduped) experiment list
 	wire        bool     // /result job: produce the mergeable wire partial
 	degraded    bool     // admission-time overload decision
+	decode      int      // decode workers: DecodeWorkers, or 1 when degraded
 	ctx         context.Context
 	cancel      context.CancelFunc
 	queued      time.Time
@@ -136,8 +127,8 @@ type Server struct {
 	draining bool
 
 	// beforeJob, when set, runs at the top of every job (test seam for
-	// holding workers busy deterministically).
-	beforeJob func(context.Context)
+	// holding workers busy deterministically and inspecting the job).
+	beforeJob func(*job)
 }
 
 // New builds a server and starts its worker pool.
@@ -465,6 +456,10 @@ const statusClientClosedRequest = 499
 // degradation decision is taken here, from queue pressure at admission.
 func (s *Server) admit(reqCtx context.Context, key string, sp SpoolResult, kind predictor.Kind, exps []string, wire bool, f *flight) error {
 	degraded := float64(len(s.jobs)+1) >= s.cfg.DegradedAt*float64(s.cfg.QueueDepth)
+	decode := s.cfg.DecodeWorkers
+	if degraded {
+		decode = 1 // the shed work: sequential decode
+	}
 	jctx, jcancel := context.WithTimeout(reqCtx, s.cfg.JobTimeout)
 	stop := context.AfterFunc(s.baseCtx, jcancel)
 	j := &job{
@@ -476,6 +471,7 @@ func (s *Server) admit(reqCtx context.Context, key string, sp SpoolResult, kind 
 		experiments: exps,
 		wire:        wire,
 		degraded:    degraded,
+		decode:      decode,
 		ctx:         jctx,
 		cancel:      func() { stop(); jcancel() },
 		queued:      time.Now(),
@@ -536,7 +532,7 @@ func (s *Server) runJob(j *job) {
 			}
 		}()
 		if s.beforeJob != nil {
-			s.beforeJob(j.ctx)
+			s.beforeJob(j)
 		}
 		out.payload, out.wire, out.jerr = s.analyze(j)
 	}()
@@ -553,12 +549,11 @@ func (s *Server) runJob(j *job) {
 }
 
 // analyze runs the streaming analysis for one job. Normal mode uses the
-// parallel block decoder and epoch speculation; degraded mode sheds both
-// (the work, not the job) and decodes sequentially. Requested experiments
-// ride the model's decode as streaming observers (core.WithObservers), so
-// a multi-experiment job still reads the spooled trace exactly once;
-// epoch speculation is skipped for those jobs (the fused pass runs the
-// sequential model). A wire job returns dpg.EncodeResult bytes instead of
+// parallel block decoder; degraded mode sheds it (the work, not the job)
+// and decodes sequentially. Both run the one sequential model pass.
+// Requested experiments ride the model's decode as streaming observers
+// (core.WithObservers), so a multi-experiment job still reads the spooled
+// trace exactly once. A wire job returns dpg.EncodeResult bytes instead of
 // the report payload — the same model run, so degraded mode changes how
 // the answer is computed but never the bytes.
 func (s *Server) analyze(j *job) (*analysisPayload, []byte, *JobError) {
@@ -587,7 +582,7 @@ func (s *Server) analyze(j *job) (*analysisPayload, []byte, *JobError) {
 			confSim = analysis.NewConfidenceSim(j.kind, 7)
 			obs = append(obs, confSim)
 		case "speculation":
-			// Never-speculate baseline (threshold above saturation) plus
+			// No-speculation baseline (threshold above saturation) plus
 			// the suite's threshold sweep.
 			for _, th := range []uint8{8, 0, 1, 3, 7} {
 				sim := analysis.NewSpecSim("", j.kind, analysis.SpecConfig{
@@ -607,25 +602,14 @@ func (s *Server) analyze(j *job) (*analysisPayload, []byte, *JobError) {
 	if len(obs) > 0 {
 		opts = append(opts, core.WithObservers(obs...))
 	}
-	var specStats *dpg.SpecStats
-	if !j.degraded {
-		if s.cfg.DecodeWorkers > 1 {
-			opts = append(opts, core.WithWorkers(s.cfg.DecodeWorkers))
-		}
-		if s.cfg.Speculation > 1 && len(obs) == 0 {
-			opts = append(opts, core.WithSpeculation(s.cfg.Speculation))
-			specStats = new(dpg.SpecStats)
-			opts = append(opts, core.WithSpecStats(specStats))
-		}
+	if j.decode > 1 {
+		opts = append(opts, core.WithWorkers(j.decode))
 	}
 	s.metrics.computations.Add(1)
 	res, err := core.AnalyzeFile(j.path, opts...)
 	s.metrics.analyzeHist.observe(time.Since(start))
 	if err != nil {
 		return nil, nil, classifyJobErr(err)
-	}
-	if specStats != nil {
-		s.metrics.observeSpec(specStats)
 	}
 	if j.wire {
 		data, err := dpg.EncodeResult(res, ModelVersion)

@@ -46,11 +46,10 @@ func traceBytes(t *testing.T, name string, rounds int) []byte {
 func testServer(t *testing.T, mod func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := Config{
-		StoreDir:    filepath.Join(t.TempDir(), "store"),
-		QueueDepth:  8,
-		Workers:     2,
-		JobTimeout:  30 * time.Second,
-		Speculation: -1, // off by default in tests; specific tests opt in
+		StoreDir:   filepath.Join(t.TempDir(), "store"),
+		QueueDepth: 8,
+		Workers:    2,
+		JobTimeout: 30 * time.Second,
 	}
 	if mod != nil {
 		mod(&cfg)
@@ -238,10 +237,10 @@ func TestAnalyzeCacheHit(t *testing.T) {
 func TestAnalyzeSingleflight(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := testServer(t, func(c *Config) { c.Workers = 1 })
-	s.beforeJob = func(ctx context.Context) {
+	s.beforeJob = func(j *job) {
 		select {
 		case <-release:
-		case <-ctx.Done():
+		case <-j.ctx.Done():
 		}
 	}
 	data := traceBytes(t, "fig1", 10)
@@ -295,10 +294,10 @@ func TestAnalyzeBackpressure(t *testing.T) {
 		c.Workers = 1
 		c.QueueDepth = 1
 	})
-	s.beforeJob = func(ctx context.Context) {
+	s.beforeJob = func(j *job) {
 		select {
 		case <-release:
-		case <-ctx.Done():
+		case <-j.ctx.Done():
 		}
 	}
 
@@ -342,7 +341,7 @@ func TestAnalyzeBackpressure(t *testing.T) {
 // kind "deadline".
 func TestAnalyzeDeadline(t *testing.T) {
 	s, ts := testServer(t, func(c *Config) { c.JobTimeout = 30 * time.Millisecond })
-	s.beforeJob = func(ctx context.Context) { <-ctx.Done() }
+	s.beforeJob = func(j *job) { <-j.ctx.Done() }
 	data := traceBytes(t, "fig1", 5)
 	status, _, fail := upload(t, ts, "", bytes.NewReader(data))
 	if status != http.StatusGatewayTimeout {
@@ -359,7 +358,7 @@ func TestAnalyzePanicIsolation(t *testing.T) {
 	var first atomic.Bool
 	first.Store(true)
 	s, ts := testServer(t, func(c *Config) { c.Workers = 1 })
-	s.beforeJob = func(ctx context.Context) {
+	s.beforeJob = func(j *job) {
 		if first.CompareAndSwap(true, false) {
 			panic("injected fault")
 		}
@@ -380,19 +379,26 @@ func TestAnalyzePanicIsolation(t *testing.T) {
 }
 
 // TestAnalyzeDegradedMode checks queue pressure flips jobs into degraded
-// mode (work shed, job kept) before the queue starts shedding jobs.
+// mode (work shed, job kept) before the queue starts shedding jobs: a
+// degraded job decodes sequentially, a normal one with DecodeWorkers.
 func TestAnalyzeDegradedMode(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := testServer(t, func(c *Config) {
 		c.Workers = 1
 		c.QueueDepth = 4
 		c.DegradedAt = 0.5
-		c.Speculation = 2 // normal mode would speculate
+		c.DecodeWorkers = 4 // normal mode decodes in parallel
 	})
-	s.beforeJob = func(ctx context.Context) {
+	type decision struct {
+		degraded bool
+		workers  int
+	}
+	ran := make(chan decision, 4)
+	s.beforeJob = func(j *job) {
+		ran <- decision{j.degraded, j.decode}
 		select {
 		case <-release:
-		case <-ctx.Done():
+		case <-j.ctx.Done():
 		}
 	}
 
@@ -426,51 +432,20 @@ func TestAnalyzeDegradedMode(t *testing.T) {
 	if s.metrics.degradedJobs.Load() == 0 {
 		t.Error("degraded-jobs counter never moved")
 	}
-}
-
-// TestAnalyzeSpeculation checks that a server left at the default
-// speculation setting (the zero value, as a bare dpgd runs) speculates,
-// returns a payload byte-identical to a plain sequential server's, and
-// surfaces the job's speculation statistics as dpgd_spec_* counters on
-// /metrics: two chains over the four predictor-category units.
-func TestAnalyzeSpeculation(t *testing.T) {
-	data := traceBytes(t, "gcc", 40)
-
-	_, plain := testServer(t, nil) // speculation off
-	_, spec := testServer(t, func(c *Config) { c.Speculation = 0 })
-
-	status, want, _ := upload(t, plain, "?predictor=stride", bytes.NewReader(data))
-	if status != http.StatusOK {
-		t.Fatalf("plain upload: status %d", status)
-	}
-	status, got, _ := upload(t, spec, "?predictor=stride", bytes.NewReader(data))
-	if status != http.StatusOK {
-		t.Fatalf("speculative upload: status %d", status)
-	}
-	if !reflect.DeepEqual(got.analysisPayload, want.analysisPayload) {
-		t.Errorf("speculative payload differs from sequential:\n got %+v\nwant %+v",
-			got.analysisPayload, want.analysisPayload)
-	}
-
-	resp, err := http.Get(spec.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, line := range []string{
-		"dpgd_spec_jobs_total 1\n",
-		"dpgd_spec_chains_total 2\n",
-		"dpgd_spec_units_total 4\n",
-		"dpgd_spec_fallback_jobs_total 0",
-		"dpgd_spec_abandoned_units_total 0",
-	} {
-		if !strings.Contains(string(body), line) {
-			t.Errorf("metrics missing %q", line)
+	close(ran)
+	var normal int
+	for d := range ran {
+		switch {
+		case d.degraded && d.workers != 1:
+			t.Errorf("degraded job kept parallel decode: %d workers", d.workers)
+		case !d.degraded && d.workers != 4:
+			t.Errorf("normal job decoded with %d workers, want DecodeWorkers 4", d.workers)
+		case !d.degraded:
+			normal++
 		}
 	}
-	if strings.Contains(string(body), "dpgd_spec_commits_total 0\n") {
-		t.Error("metrics counter dpgd_spec_commits_total stuck at zero")
+	if normal == 0 {
+		t.Error("no job ran in normal mode; the first upload found an empty queue")
 	}
 }
 
@@ -546,10 +521,10 @@ func TestHealthEndpoints(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	gate := make(chan struct{})
 	s, ts := testServer(t, func(c *Config) { c.Workers = 1 })
-	s.beforeJob = func(ctx context.Context) {
+	s.beforeJob = func(j *job) {
 		select {
 		case <-gate:
-		case <-ctx.Done():
+		case <-j.ctx.Done():
 		}
 	}
 
@@ -578,7 +553,7 @@ func TestGracefulDrain(t *testing.T) {
 // job through its context and reports the dirty drain.
 func TestForcedDrain(t *testing.T) {
 	s, ts := testServer(t, func(c *Config) { c.Workers = 1 })
-	s.beforeJob = func(ctx context.Context) { <-ctx.Done() } // wedged until cancelled
+	s.beforeJob = func(j *job) { <-j.ctx.Done() } // wedged until cancelled
 
 	done := make(chan errorResponse, 1)
 	go func() {

@@ -37,7 +37,7 @@ func postResult(t *testing.T, url, query string, body []byte) (int, []byte, http
 // the same bytes. Partials gathered from /result for two traces merge to
 // the same bytes as core.AnalyzeDir over the directory holding both.
 func TestResultEndpointParity(t *testing.T) {
-	_, ts := testServer(t, func(c *Config) { c.Speculation = 2 })
+	_, ts := testServer(t, nil)
 	data := traceBytes(t, "gcc", 40)
 
 	dir := t.TempDir()

@@ -272,7 +272,12 @@ func BenchmarkPipeline(b *testing.B) {
 		b.ReportAllocs()
 		b.SetBytes(int64(tr.Len()))
 		for i := 0; i < b.N; i++ {
-			full, _, err := trace.ReadFileParallel(path, trace.Workers(4))
+			f, err := os.Open(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			full, _, err := trace.ParallelReadAll(f, trace.Workers(4))
+			f.Close()
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -13,12 +13,14 @@
 //	dpgrun -trace damaged.dpg -strict=false   # resync past corrupt blocks
 //	dpgrun -trace gcc.dpg -workers 8          # 8 concurrent decode workers
 //
-// Trace files are streamed from disk through the pass pipeline — a sharded
-// pre-pass over decoded blocks, then the sequential model pass — so peak
-// memory stays O(block·workers) regardless of trace size. When -trace
-// names a directory or matches several files, the files fan out across a
-// bounded worker pool (-parallel) with a per-file summary line per
-// predictor; the exit status is non-zero if any file failed.
+// Trace files are streamed from disk through the pass pipeline — static
+// counts from the footer probe or a sharded pre-pass over decoded blocks
+// (the first predictor run, whose header reports the pre-pass, and
+// -strict=false always take the pre-pass), then the sequential model
+// pass — so peak memory stays O(block·workers) regardless of trace size.
+// When -trace names a directory or matches several files, the files fan
+// out across a bounded worker pool (-parallel) with a per-file summary
+// line per predictor; the exit status is non-zero if any file failed.
 //
 // By default a corrupt or truncated trace file is rejected with a typed
 // error and a non-zero exit. With -strict=false the reader resynchronises
@@ -142,12 +144,16 @@ func fileOpts(ctx context.Context, k predictor.Kind, graph int, strict bool, wor
 // predictor, printing the same header and per-predictor report as the
 // workload mode.
 func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int, strict bool, workers int) {
-	headerDone := false
 	for i, k := range kinds {
 		var ps dpg.PreStats
 		var st trace.Stats
-		opts := append(fileOpts(ctx, k, graph, strict, workers),
-			core.WithPreStats(&ps), core.WithTraceStats(&st))
+		opts := fileOpts(ctx, k, graph, strict, workers)
+		if i == 0 {
+			// Only the first run prints the header, so only it pays for the
+			// pre-pass statistics (which force a decoding pre-pass); later
+			// runs take their counts from the footer probe when it answers.
+			opts = append(opts, core.WithPreStats(&ps), core.WithTraceStats(&st))
+		}
 		r, err := core.AnalyzeFile(path, opts...)
 		if errors.Is(err, core.ErrAborted) {
 			failInterrupted(i, len(kinds))
@@ -155,8 +161,7 @@ func runFile(ctx context.Context, path string, kinds []predictor.Kind, graph int
 		if err != nil {
 			fail(err.Error())
 		}
-		if !headerDone {
-			headerDone = true
+		if i == 0 {
 			fmt.Printf("trace %s: %d dynamic instructions, %d static\n\n", r.Name, ps.Events, len(ps.StaticCount))
 			if !strict {
 				printCorruption("", st)

@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 
@@ -35,11 +34,10 @@ import (
 
 // config is the resolved form of the public options: the model
 // configuration plus the trace-ingestion knobs AnalyzeFile honours
-// (reader choice, lenient decoding, stats surfacing). RunTrace operates
+// (decode workers, lenient decoding, stats surfacing). RunTrace operates
 // on an already-decoded trace, so it uses only the model half.
 type config struct {
 	model     dpg.Config
-	parallel  bool
 	workers   int
 	lenient   bool
 	statsOut  *trace.Stats
@@ -80,16 +78,14 @@ func WithSharedInputOutput() Option {
 	return func(c *config) { c.model.SharedInputOutput = true }
 }
 
-// WithWorkers makes AnalyzeFile decode the trace file with the concurrent
-// block decoder using n workers (0 = all cores). Decoding is proven
-// equivalent to the sequential reader, so results are identical; only
-// ingestion throughput changes. RunTrace, which takes an already-decoded
-// trace, ignores the option.
+// WithWorkers makes AnalyzeFile decode the trace file with n concurrent
+// block decoders (0 = all cores) and shard its pre-pass n ways; the
+// default is 1, every block decoded inline. The concurrent decoder runs
+// the same block decoder and accounting as the inline one, so results are
+// identical; only ingestion throughput changes. RunTrace, which takes an
+// already-decoded trace, ignores the option.
 func WithWorkers(n int) Option {
-	return func(c *config) {
-		c.parallel = true
-		c.workers = n
-	}
+	return func(c *config) { c.workers = n }
 }
 
 // WithLenientTrace makes AnalyzeFile resynchronise past corrupt or
@@ -145,22 +141,6 @@ func WithContext(ctx context.Context) Option {
 	return func(c *config) { c.ctx = ctx }
 }
 
-// readerOpts translates the ingestion half of the config into reader
-// options.
-func (c *config) readerOpts() []trace.ReaderOption {
-	var opts []trace.ReaderOption
-	if c.lenient {
-		opts = append(opts, trace.Lenient())
-	}
-	if c.parallel {
-		opts = append(opts, trace.Workers(c.workers))
-	}
-	if c.ctx != nil {
-		opts = append(opts, trace.WithContext(c.ctx))
-	}
-	return opts
-}
-
 // ctxErr reports the config's context error (nil without WithContext or
 // while the context is live).
 func (c *config) ctxErr() error {
@@ -170,7 +150,8 @@ func (c *config) ctxErr() error {
 	return c.ctx.Err()
 }
 
-// buildConfig folds the options over the default (context) configuration.
+// buildConfig folds the options over the default configuration: the
+// context predictor and one decode worker.
 // Option closures that panic — e.g. a Kind out of range — are converted
 // into ErrConfig at this boundary.
 func buildConfig(opts []Option) (cfg config, err error) {
@@ -179,6 +160,7 @@ func buildConfig(opts []Option) (cfg config, err error) {
 			err = fmt.Errorf("%w: %v", ErrConfig, r)
 		}
 	}()
+	cfg.workers = 1
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -334,7 +316,9 @@ func (s *Suite) Result(name string, kind predictor.Kind) (*dpg.Result, error) {
 				re.err = err
 				return
 			}
-			re.res = p.model[kind]
+			if re.res = p.model[kind]; re.res == nil {
+				re.err = fmt.Errorf("%w: predictor %s is outside the suite's corpus %v", ErrConfig, kind, s.suiteKinds())
+			}
 			return
 		}
 		t, err := s.traceFor(name)
@@ -921,63 +905,12 @@ func (s *Suite) traceFilePath(name string) (string, bool) {
 	return s.cfg.TraceFile(name)
 }
 
-// streamEvents drives observe over one workload's dynamic instructions.
-// Under TraceFile it streams the file through the block decoder without
-// ever materializing the event slice — peak memory is O(block · workers)
-// plus whatever the observers hold, not O(trace). Without a trace file it
-// falls back to the in-memory trace the workload generator produces.
-func (s *Suite) streamEvents(name string, observe func(*trace.Event)) error {
-	path, ok := s.traceFilePath(name)
-	if !ok {
-		t, err := s.traceOnce(name)
-		if err != nil {
-			return err
-		}
-		for i := range t.Events {
-			observe(&t.Events[i])
-		}
-		return nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := trace.NewParallelReader(f, trace.Workers(s.cfg.Workers))
-	if err != nil {
-		return wrapTraceErr(err)
-	}
-	defer r.Close()
-	noteDecode(path)
-	var e trace.Event
-	for {
-		err := r.Next(&e)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("core: streaming %s: %w", path, wrapTraceErr(err))
-		}
-		observe(&e)
-	}
-}
-
 // traceOnce regenerates a workload trace at the suite's scale without
 // touching the result cache (used by experiments that need the raw trace
-// even after the standard predictor runs released it). Under TraceFile it
-// loads the trace file instead — kept for completeness, though no suite
-// experiment materializes a file any more: every file-mode experiment
-// reads the fused engine's single decode (see fused.go), and the non-file
-// experiments stream through streamEvents.
+// even after the standard predictor runs released it). Callers under
+// TraceFile never get here: they read the fused engine's single decode of
+// the file (see fused.go).
 func (s *Suite) traceOnce(name string) (*trace.Trace, error) {
-	if path, ok := s.traceFilePath(name); ok {
-		noteDecode(path)
-		t, _, err := trace.ReadFileParallel(path, trace.Workers(s.cfg.Workers))
-		if err != nil {
-			return nil, wrapTraceErr(err)
-		}
-		return t, nil
-	}
 	w, ok := workloads.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown workload %q", name)

@@ -9,42 +9,10 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/analysis"
 	"repro/internal/dpg"
 	"repro/internal/trace"
 )
-
-// traceReader is the streaming surface shared by the sequential and
-// parallel trace decoders; the model pass of AnalyzeFile is agnostic to
-// which one is behind it.
-type traceReader interface {
-	Next(*trace.Event) error
-	Name() string
-	NumStatic() int
-	Stats() trace.Stats
-	StaticCounts() []uint64
-	Close() error
-}
-
-// openTraceReader opens path with the reader the config selects:
-// sequential by default, the concurrent block decoder under WithWorkers,
-// lenient under WithLenientTrace.
-func openTraceReader(path string, cfg *config) (traceReader, *os.File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	var r traceReader
-	if cfg.parallel {
-		r, err = trace.NewParallelReader(f, cfg.readerOpts()...)
-	} else {
-		r, err = trace.NewReader(f, cfg.readerOpts()...)
-	}
-	if err != nil {
-		f.Close()
-		return nil, nil, wrapTraceErr(err)
-	}
-	return r, f, nil
-}
 
 // AnalyzeFile runs the model over a trace file without ever loading the
 // whole trace into memory: peak usage is O(block · workers), not O(trace).
@@ -54,13 +22,18 @@ func openTraceReader(path string, cfg *config) (traceReader, *os.File, error) {
 // damaged file, lenient mode, or a WithPreStats request — does a first
 // streaming pass run the shardable pre-pass (dpg.PrePass) over the
 // parallel reader's decoded blocks, concurrently across WithWorkers
-// shards. The model pass then streams the events exactly once — alone,
-// or fanned out to every WithObservers observer on the same decode.
+// shards. The event pass then streams the file exactly once through the
+// observer fan-out (analysis.RunObservers): the model first, then every
+// WithObservers observer, on the same decoded blocks.
 //
 // WithWorkers decodes with the concurrent block decoder and shards the
 // pre-pass; WithLenientTrace analyses whatever survives a damaged file
 // instead of failing; WithTraceStats surfaces the decode summary;
 // WithPreStats surfaces the pre-pass summary.
+//
+// Decode failures surface as "core: streaming <path>: ..." with the trace
+// taxonomy folded into the core sentinels; a model or observer failure is
+// a typed *analysis.ObserverError (joined when several fire).
 func AnalyzeFile(path string, opts ...Option) (*dpg.Result, error) {
 	cfg, err := buildConfig(opts)
 	if err != nil {
@@ -78,42 +51,31 @@ func AnalyzeFile(path string, opts ...Option) (*dpg.Result, error) {
 		return nil, err
 	}
 
-	// Under WithObservers the second pass fans the one decode out to the
-	// model and every registered observer.
-	if len(cfg.observers) > 0 {
-		return analyzeObservers(path, name, counts, &cfg)
+	// Pass 2: one decode fanned out to the model and every observer.
+	mo, err := newModelObserver(name, counts, cfg.model)
+	if err != nil {
+		return nil, err
 	}
-
-	// Pass 2: stream events through the sequential model pass.
-	r, f, err := openTraceReader(path, &cfg)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	defer r.Close()
-	noteDecode(path)
-	b, err := dpg.NewBuilder(name, counts, cfg.model)
+	_, ropts := cfg.blockReaderOpts()
+	pr, err := trace.NewParallelReader(f, ropts...)
 	if err != nil {
-		return nil, err
+		return nil, wrapTraceErr(err)
 	}
-	pl := dpg.NewPipeline(b)
-	var e trace.Event
-	for {
-		err := r.Next(&e)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: streaming %s: %w", path, wrapTraceErr(err))
-		}
-		if err := pl.Observe(&e); err != nil {
-			return nil, fmt.Errorf("core: streaming %s: %w", path, err)
-		}
+	defer pr.Close()
+	noteDecode(path)
+	obs := append([]analysis.Observer{mo}, cfg.observers...)
+	if err := analysis.RunObservers(pr, obs...); err != nil {
+		return nil, fmt.Errorf("core: streaming %s: %w", path, wrapTraceErr(err))
 	}
 	if cfg.statsOut != nil {
-		*cfg.statsOut = r.Stats()
+		*cfg.statsOut = pr.Stats()
 	}
-	return b.Finish()
+	return mo.res, nil
 }
 
 // scanCounts obtains the static execution counts and workload name the
@@ -134,25 +96,21 @@ func scanCounts(path string, cfg *config) ([]uint64, string, error) {
 	return scanPrePass(path, cfg)
 }
 
-// blockReaderOpts resolves the parallel-reader options (and the effective
-// worker count) for a block-feed decode: Workers(1) by default — the
-// sequential decode fallback, which still chunks events into synthetic
-// blocks for the block feed — or the configured count under WithWorkers.
+// blockReaderOpts translates the ingestion half of the config into
+// parallel-reader options, and resolves the effective worker count:
+// Workers(1) by default — each block decoded inline, no pipeline — or the
+// WithWorkers count, where 0 means all cores.
 func (c *config) blockReaderOpts() (workers int, ropts []trace.ReaderOption) {
-	workers = 1
-	ropts = []trace.ReaderOption{trace.Workers(1)}
+	workers = c.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	ropts = []trace.ReaderOption{trace.Workers(c.workers)}
 	if c.lenient {
 		ropts = append(ropts, trace.Lenient())
 	}
 	if c.ctx != nil {
 		ropts = append(ropts, trace.WithContext(c.ctx))
-	}
-	if c.parallel {
-		workers = c.workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		ropts[0] = trace.Workers(c.workers)
 	}
 	return workers, ropts
 }

@@ -111,7 +111,7 @@ func (s *Suite) fusedCounts(path string) ([]uint64, string, error) {
 	if fi, err := trace.ScanFooterFile(path); err == nil {
 		return fi.Counts, fi.Name, nil
 	}
-	cfg := config{parallel: true, workers: s.cfg.Workers}
+	cfg := config{workers: s.cfg.Workers}
 	return scanPrePass(path, &cfg)
 }
 
@@ -218,8 +218,18 @@ func (s *Suite) fusedOnce(name, path string) (*fusedProducts, error) {
 //
 // Each experiment's renderer asks for its product through one of these:
 // under TraceFile the fused engine's cached products answer, otherwise the
-// experiment streams the generated trace itself (still one shared pass
-// per experiment, via streamEvents).
+// experiment runs its simulators over the generated trace itself (still
+// one shared pass per experiment, via observeGenerated).
+
+// observeGenerated runs obs over one pass of the workload's generated
+// trace, with analysis.RunObservers' delivery and isolation contract.
+func (s *Suite) observeGenerated(name string, obs ...analysis.Observer) error {
+	t, err := s.traceOnce(name)
+	if err != nil {
+		return err
+	}
+	return analysis.ObserveTrace(t, obs...)
+}
 
 // correlationResult returns the correlation-model result for one workload.
 func (s *Suite) correlationResult(name string) (*dpg.Result, error) {
@@ -247,7 +257,7 @@ func (s *Suite) reuseStats(name string) (analysis.ReuseStats, error) {
 		return p.reuse, nil
 	}
 	sim := analysis.NewReuseSim(name, suiteReuseBits)
-	if err := s.streamEvents(name, sim.Observe); err != nil {
+	if err := s.observeGenerated(name, sim); err != nil {
 		return analysis.ReuseStats{}, err
 	}
 	return sim.Stats(), nil
@@ -263,7 +273,7 @@ func (s *Suite) confidencePoints(name string) ([]analysis.ConfidencePoint, error
 		return p.confidence, nil
 	}
 	sim := analysis.NewConfidenceSim(predictor.KindContext, suiteConfMaxLevel)
-	if err := s.streamEvents(name, sim.Observe); err != nil {
+	if err := s.observeGenerated(name, sim); err != nil {
 		return nil, err
 	}
 	return sim.Points(), nil
@@ -279,20 +289,17 @@ func (s *Suite) ilpStats(name string) ([]analysis.ILPStats, error) {
 		}
 		return p.ilp, nil
 	}
-	// One streaming pass drives every predictor's simulator at once: the
-	// base timeline is identical across kinds, so the sims differ only in
-	// their prediction side.
+	// One pass drives every predictor's simulator at once: the base
+	// timeline is identical across kinds, so the sims differ only in their
+	// prediction side.
 	kinds := s.suiteKinds()
 	sims := make([]*analysis.ILPSim, len(kinds))
+	obs := make([]analysis.Observer, len(kinds))
 	for i, k := range kinds {
 		sims[i] = analysis.NewILPSim(name, k)
+		obs[i] = sims[i]
 	}
-	err := s.streamEvents(name, func(e *trace.Event) {
-		for _, sim := range sims {
-			sim.Observe(e)
-		}
-	})
-	if err != nil {
+	if err := s.observeGenerated(name, obs...); err != nil {
 		return nil, err
 	}
 	out := make([]analysis.ILPStats, len(sims))
@@ -312,22 +319,17 @@ func (s *Suite) speculationStats(name string) (analysis.SpecStats, map[uint8]ana
 		}
 		return p.specBase, p.spec, nil
 	}
-	// One streaming pass drives the baseline and every threshold at once:
-	// the sims are independent, so the shared pass is byte-identical to
-	// running them separately.
+	// One pass drives the baseline and every threshold at once: the sims
+	// are independent, so the shared pass is byte-identical to running
+	// them separately.
 	base := analysis.NewSpecSim(name, predictor.KindContext, suiteSpecConfig(suiteSpecNever))
 	sims := make(map[uint8]*analysis.SpecSim, len(suiteSpecThresholds))
-	all := []*analysis.SpecSim{base}
+	all := []analysis.Observer{base}
 	for _, th := range suiteSpecThresholds {
 		sims[th] = analysis.NewSpecSim(name, predictor.KindContext, suiteSpecConfig(th))
 		all = append(all, sims[th])
 	}
-	err := s.streamEvents(name, func(e *trace.Event) {
-		for _, sim := range all {
-			sim.Observe(e)
-		}
-	})
-	if err != nil {
+	if err := s.observeGenerated(name, all...); err != nil {
 		return analysis.SpecStats{}, nil, err
 	}
 	out := make(map[uint8]analysis.SpecStats, len(sims))

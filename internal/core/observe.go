@@ -1,10 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"os"
-
-	"repro/internal/analysis"
 	"repro/internal/dpg"
 	"repro/internal/trace"
 )
@@ -60,38 +56,4 @@ func noteDecode(path string) {
 	if decodeHook != nil {
 		decodeHook(path)
 	}
-}
-
-// analyzeObservers is AnalyzeFile's fused second pass under
-// WithObservers: one decode of the file feeds the model pipeline and
-// every registered observer through analysis.RunObservers. The error
-// contract matches the sequential path — decode failures surface as
-// "core: streaming <path>: ..." with the trace taxonomy folded into the
-// core sentinels — with observer failures additionally wrapped in typed
-// *analysis.ObserverError values (joined when several fire).
-func analyzeObservers(path, name string, counts []uint64, cfg *config) (*dpg.Result, error) {
-	mo, err := newModelObserver(name, counts, cfg.model)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	_, ropts := cfg.blockReaderOpts()
-	pr, err := trace.NewParallelReader(f, ropts...)
-	if err != nil {
-		return nil, wrapTraceErr(err)
-	}
-	defer pr.Close()
-	noteDecode(path)
-	obs := append([]analysis.Observer{mo}, cfg.observers...)
-	if err := analysis.RunObservers(pr, obs...); err != nil {
-		return nil, fmt.Errorf("core: streaming %s: %w", path, wrapTraceErr(err))
-	}
-	if cfg.statsOut != nil {
-		*cfg.statsOut = pr.Stats()
-	}
-	return mo.res, nil
 }

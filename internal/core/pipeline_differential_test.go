@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -119,7 +120,12 @@ func TestAnalyzeFileMemoryCeiling(t *testing.T) {
 		}
 	})
 	materializing := measure(func() {
-		full, _, err := trace.ReadFileParallel(path, trace.Workers(2))
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, _, err := trace.ParallelReadAll(f, trace.Workers(2))
+		f.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,16 +226,36 @@ func TestDifferentialSuiteTraceDir(t *testing.T) {
 }
 
 // TestTraceDirFallback: workloads without a trace file fall back to
-// generation, so a partial directory still renders every figure.
+// generation, so a partial directory still renders every figure. A
+// predictor the streamed pass does not model (outside a PaperCorpus
+// suite's three) is a config error naming the kind, never a nil result;
+// generation runs any predictor.
 func TestTraceDirFallback(t *testing.T) {
 	const scale = 0.03
 	dir := t.TempDir()
 	writeScaledTrace(t, dir, "fig1", scale) // only one workload on disk
-	s := NewSuite(SuiteConfig{Scale: scale, TraceFile: TraceDir(dir), Workers: 1})
-	if _, err := s.Result("fig1", predictor.KindLast); err != nil {
-		t.Fatalf("streamed workload: %v", err)
-	}
-	if _, err := s.Result("gcc", predictor.KindLast); err != nil {
-		t.Fatalf("generated fallback workload: %v", err)
+	for _, tc := range []struct {
+		label   string
+		paper   bool
+		name    string
+		kind    predictor.Kind
+		wantErr bool
+	}{
+		{"streamed workload", false, "fig1", predictor.KindLast, false},
+		{"generated fallback workload", false, "gcc", predictor.KindLast, false},
+		{"streamed, predictor outside the paper corpus", true, "fig1", predictor.KindTAGE, true},
+		{"generated, predictor outside the paper corpus", true, "gcc", predictor.KindTAGE, false},
+	} {
+		s := NewSuite(SuiteConfig{Scale: scale, TraceFile: TraceDir(dir), Workers: 1, PaperCorpus: tc.paper})
+		res, err := s.Result(tc.name, tc.kind)
+		if tc.wantErr {
+			if !errors.Is(err, ErrConfig) || !strings.Contains(err.Error(), tc.kind.String()) {
+				t.Errorf("%s: err = %v, want ErrConfig naming %s", tc.label, err, tc.kind)
+			}
+			continue
+		}
+		if err != nil || res == nil {
+			t.Fatalf("%s: res = %v, err = %v", tc.label, res, err)
+		}
 	}
 }

@@ -12,86 +12,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestStreamEventsAllocationCap is the regression test for the raw-trace
-// streaming fix: the reuse and ILP experiments used to materialize the
-// whole event slice per workload (trace.ReadFileParallel) before
-// simulating; streamEvents must instead hold only O(block · workers) of
-// decode state plus the observers. The test writes a trace whose in-memory
-// event slice is several megabytes, streams a reuse simulation over the
-// file, and caps the pass's allocations at one event slice: the streaming
-// decode path costs about half a slice in block buffers (pool misses
-// included), while re-materializing costs the decode path PLUS the full
-// slice (~1.5×), so the cap separates the two with wide margins on both
-// sides.
-func TestStreamEventsAllocationCap(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation measurement needs the full-size trace")
-	}
-	w, _ := workloads.ByName("gcc")
-	tr, err := w.TraceRounds(w.Rounds, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eventBytes := uint64(tr.Len()) * uint64(unsafe.Sizeof(trace.Event{}))
-	if eventBytes < 4<<20 {
-		t.Fatalf("trace too small to make the measurement meaningful: %d bytes", eventBytes)
-	}
-	dir := t.TempDir()
-	if err := trace.WriteFile(filepath.Join(dir, "gcc.dpg"), tr, trace.BlockBytes(64<<10)); err != nil {
-		t.Fatal(err)
-	}
-	tr = nil // the in-memory copy must not survive into the measurement
-
-	s := NewSuite(SuiteConfig{TraceFile: TraceDir(dir), Workers: 2})
-	measure := func() uint64 {
-		sim := analysis.NewReuseSim("gcc", 16)
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		if err := s.streamEvents("gcc", sim.Observe); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		if sim.Stats().Eligible == 0 {
-			t.Fatal("simulator saw no events")
-		}
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	measure() // warm: decoder pools, lazily-built suite state
-	allocated := measure()
-	if cap := eventBytes; allocated > cap {
-		t.Fatalf("streaming pass allocated %d bytes for a %d-byte event slice; cap %d — is it materializing the trace again?",
-			allocated, eventBytes, cap)
-	}
-	t.Logf("streamed %d event-bytes with %d bytes allocated", eventBytes, allocated)
-
-	// The ILP sweep shares the same streaming path; drive all four
-	// predictor sims in one pass the way Suite.ilp does. The sims are
-	// built before the measurement starts — their predictor tables are a
-	// fixed cost — so the pass itself is held to the same cap: decode
-	// buffers plus incidental map growth, never a second event slice.
-	sims := make([]*analysis.ILPSim, len(predictor.Kinds))
-	for i, k := range predictor.Kinds {
-		sims[i] = analysis.NewILPSim("gcc", k)
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	err = s.streamEvents("gcc", func(e *trace.Event) {
-		for _, sim := range sims {
-			sim.Observe(e)
-		}
-	})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > eventBytes {
-		t.Fatalf("ILP streaming pass allocated %d bytes for a %d-byte event slice; cap %d",
-			got, eventBytes, eventBytes)
-	}
-}
-
 // TestFusedObserversAllocationCap is the memory-regression gate for the
 // observer fan-out: riding all four experiment simulators on the model's
 // decode must add only the observers' own bounded state — never a second

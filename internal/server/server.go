@@ -548,9 +548,10 @@ func (s *Server) runJob(j *job) {
 	s.flights.complete(j.key, j.flight, out)
 }
 
-// analyze runs the streaming analysis for one job. Normal mode uses the
-// parallel block decoder; degraded mode sheds it (the work, not the job)
-// and decodes sequentially. Both run the one sequential model pass.
+// analyze runs the streaming analysis for one job. Normal mode decodes
+// with DecodeWorkers concurrent block decoders; degraded mode sheds them
+// (the work, not the job) and decodes each block inline. Both run the one
+// sequential model pass.
 // Requested experiments ride the model's decode as streaming observers
 // (core.WithObservers), so a multi-experiment job still reads the spooled
 // trace exactly once. A wire job returns dpg.EncodeResult bytes instead of
@@ -598,12 +599,10 @@ func (s *Server) analyze(j *job) (*analysisPayload, []byte, *JobError) {
 		core.WithKind(j.kind),
 		core.WithContext(j.ctx),
 		core.WithTraceStats(&st),
+		core.WithWorkers(j.decode),
 	}
 	if len(obs) > 0 {
 		opts = append(opts, core.WithObservers(obs...))
-	}
-	if j.decode > 1 {
-		opts = append(opts, core.WithWorkers(j.decode))
 	}
 	s.metrics.computations.Add(1)
 	res, err := core.AnalyzeFile(j.path, opts...)

@@ -9,10 +9,11 @@ import (
 
 // This file exposes the parallel reader's per-block decoded batches.
 // Order-insensitive consumers (the model's shardable pre-pass) take whole
-// blocks concurrently via ForEachBlock instead of paying for the
-// event-by-event reassembly of Next; order-dependent consumers keep using
-// Next unchanged. Both views drain the same pipeline, so Stats, error
-// contracts, and StaticCounts behave identically.
+// blocks concurrently via ForEachBlock, and in-order consumers (the
+// observer fan-out) take them one at a time via NextBlock, instead of
+// paying for the event-by-event copy of Next. Both views drain the same
+// block cursor, so Stats, error contracts, and StaticCounts behave
+// identically.
 
 // Block is one contiguous in-order run of decoded events. Index is the
 // block's position in stream order among delivered blocks (0, 1, 2, …), so
@@ -23,9 +24,8 @@ type Block struct {
 	Events []Event
 }
 
-// seqBlockEvents sizes the synthetic blocks NextBlock produces in
-// sequential-fallback mode (v1 streams and Workers(1)), where the
-// underlying reader has no parallel block pipeline to drain.
+// seqBlockEvents sizes the synthetic blocks NextBlock produces from a v1
+// stream, which has no block framing of its own.
 const seqBlockEvents = 4096
 
 // NextBlock decodes the next event block into b, in stream order. The
@@ -33,49 +33,44 @@ const seqBlockEvents = 4096
 // StaticCounts is available), strict mode fails sticky on the first
 // structural problem in stream order — after delivering any cleanly
 // decoded prefix of the damaged block — and lenient mode records skipped
-// damage in Stats.
+// damage in Stats. A v2 block is the decoded frame itself, handed off
+// whether it was decoded by the worker pool or, under Workers(1), inline.
 //
 // Ownership of b.Events transfers to the caller; the reader never reuses
 // the slice afterwards. NextBlock and Next may be mixed: NextBlock
 // delivers whatever remains of a block partially consumed by Next.
 func (p *ParallelReader) NextBlock(b *Block) error {
-	if p.items == nil {
+	tr := p.r
+	if tr.version == Version1 {
 		return p.nextBlockSeq(b)
 	}
-	if p.sticky != nil {
-		return p.sticky
+	if tr.sticky != nil {
+		return tr.sticky
 	}
-	if p.done {
+	if tr.done {
 		return io.EOF
 	}
-	for {
-		if p.curIdx < len(p.cur.events) {
-			b.Index = p.blockSeq
-			b.Events = p.cur.events[p.curIdx:]
-			p.blockSeq++
-			p.stats.Events += uint64(len(b.Events))
-			p.curIdx = len(p.cur.events)
-			p.curHandedOff = true
-			return nil
-		}
-		if p.cur.err != nil {
-			return p.fail(p.cur.err)
-		}
-		if err := p.advance(); err != nil {
-			return err
-		}
+	if err := tr.fill(); err != nil {
+		return err
 	}
+	b.Index = p.blockSeq
+	b.Events = tr.cur.events[tr.curIdx:]
+	p.blockSeq++
+	tr.stats.Events += uint64(len(b.Events))
+	tr.curIdx = len(tr.cur.events)
+	tr.curHandedOff = true
+	return nil
 }
 
-// nextBlockSeq chunks the sequential fallback's event stream into
-// synthetic blocks, so block consumers work identically on v1 streams and
-// Workers(1). A decode error after a non-empty prefix delivers the prefix
-// now; the (sticky) error resurfaces on the next call.
+// nextBlockSeq chunks a v1 stream's events into synthetic blocks, so block
+// consumers work identically on both format versions. A decode error after
+// a non-empty prefix delivers the prefix now; the (sticky) error
+// resurfaces on the next call.
 func (p *ParallelReader) nextBlockSeq(b *Block) error {
 	events := getEventSlice(seqBlockEvents)
 	for len(events) < seqBlockEvents {
 		var e Event
-		err := p.seq.Next(&e)
+		err := p.r.Next(&e)
 		if err != nil {
 			if len(events) == 0 {
 				putEventSlice(events)
@@ -175,13 +170,13 @@ func (p *ParallelReader) ForEachBlock(workers int, fn func(worker int, b *Block)
 
 // --- buffer pools ---------------------------------------------------------
 //
-// The parallel pipeline's two hot allocations — the raw block payload the
-// splitter reads and the decoded event slice a worker produces — both have
-// bounded, well-defined lifetimes, so they recycle through sync.Pools:
-// payloads return to the pool as soon as a worker has decoded them, and
-// event slices return once the consumer (Next's cursor, or ForEachBlock
-// after fn) has fully handed them off. Slices that escape to callers
-// (NextBlock) are simply never recycled.
+// The v2 decode path's two hot allocations — the raw block payload the
+// frame walk reads and the decoded event slice decodeBlockFrame produces —
+// both have bounded, well-defined lifetimes, so they recycle through
+// sync.Pools: payloads return to the pool as soon as the block is decoded,
+// and event slices return once the consumer (Next's cursor, or
+// ForEachBlock after fn) has fully handed them off. Slices that escape to
+// callers (NextBlock) are recycled only through ReleaseBlock.
 
 var payloadPool sync.Pool
 

@@ -75,44 +75,48 @@ func TestBlockDifferentialCorpus(t *testing.T) {
 
 // TestBlockMixedWithNext interleaves Next and NextBlock on one stream:
 // NextBlock must deliver exactly the remainder of a partially consumed
-// block, and the concatenation must reproduce the full event sequence.
+// block, and the concatenation must reproduce the full event sequence —
+// both behind the worker pool and under Workers(1), where the inline
+// decoder hands off its own decoded blocks.
 func TestBlockMixedWithNext(t *testing.T) {
 	data, tr := smallV2Stream(t, 64)
-	r, err := NewParallelReader(bytes.NewReader(data), Workers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	var got []Event
-	for i := 0; ; i++ {
-		if i%2 == 0 {
-			var e Event
-			err := r.Next(&e)
+	for _, workers := range []int{4, 1} {
+		r, err := NewParallelReader(bytes.NewReader(data), Workers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Event
+		for i := 0; ; i++ {
+			if i%2 == 0 {
+				var e Event
+				err := r.Next(&e)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				got = append(got, e)
+				continue
+			}
+			var b Block
+			err := r.NextBlock(&b)
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("workers=%d: %v", workers, err)
 			}
-			got = append(got, e)
-			continue
+			got = append(got, b.Events...)
 		}
-		var b Block
-		err := r.NextBlock(&b)
-		if err == io.EOF {
-			break
+		r.Close()
+		if len(got) != len(tr.Events) {
+			t.Fatalf("workers=%d: mixed drain got %d events, want %d", workers, len(got), len(tr.Events))
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, b.Events...)
-	}
-	if len(got) != len(tr.Events) {
-		t.Fatalf("mixed drain got %d events, want %d", len(got), len(tr.Events))
-	}
-	for i := range got {
-		if got[i] != tr.Events[i] {
-			t.Fatalf("event %d differs after mixed drain", i)
+		for i := range got {
+			if got[i] != tr.Events[i] {
+				t.Fatalf("workers=%d: event %d differs after mixed drain", workers, i)
+			}
 		}
 	}
 }

@@ -63,7 +63,8 @@ func Lenient() ReaderOption {
 
 // Workers sets the number of concurrent block decoders used by
 // NewParallelReader: 0 (the default) means runtime.GOMAXPROCS(0), and 1
-// falls back to plain sequential decoding. NewReader ignores the option.
+// decodes each block inline on the consumer's goroutine, with no
+// pipeline. NewReader ignores the option.
 func Workers(n int) ReaderOption {
 	return func(c *readerConfig) { c.workers = n }
 }
@@ -108,28 +109,33 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 // Reader decodes a trace stream of either format version. Events stream
 // via Next; the static-count footer becomes available after Next returns
-// io.EOF.
+// io.EOF. A v2 stream is decoded one whole block at a time — frame walk,
+// decodeBlockFrame, accounting fold — on the caller's goroutine, and Next
+// serves events from the decoded block.
 type Reader struct {
 	cr        *countingReader
 	version   int
 	name      string
 	numStatic int
-	counts    []uint64
 	lenient   bool
 	ctx       context.Context // nil unless WithContext
 	stats     Stats
+	counts    []uint64
 	done      bool
 	sticky    error
 
-	// v2 block cursor. block holds decoded-payload bytes (decompressed
-	// when the frame was compressed); blockBase is the stream offset
-	// event-decode errors are reported against — the first stored payload
-	// byte, so offsets into compressed payloads stay monotone in stream
-	// order even though they index the inflated bytes.
-	block     []byte
-	blockOff  int
-	blockLeft uint64
-	blockBase int64
+	// walk is the v2 frame walk, stepped by pull unless pipe is set, in
+	// which case a ParallelReader's splitter goroutine owns it and pull
+	// receives its decoded items from the pipeline instead.
+	walk frameWalker
+	pipe *pipeline
+
+	// cur is the decoded block being served and curIdx the next event in
+	// it. curHandedOff marks cur.events as escaped to a NextBlock caller,
+	// so advance must not recycle the slice into the event pool.
+	cur          blockResult
+	curIdx       int
+	curHandedOff bool
 }
 
 // NewReader parses the stream header and negotiates the format version.
@@ -163,6 +169,7 @@ func NewReader(r io.Reader, opts ...ReaderOption) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
+	tr.walk = frameWalker{cr: tr.cr, numStatic: tr.numStatic, lenient: tr.lenient}
 	return tr, nil
 }
 
@@ -275,7 +282,7 @@ func readPayload(cr *countingReader, n int, what string) ([]byte, error) {
 }
 
 // readPayloadPooled is readPayload for block payloads, drawing the buffer
-// from payloadPool (decode workers return it once the block is decoded).
+// from payloadPool (decodeBlockFrame returns it once the block is decoded).
 // The first chunk stays bounded so a hostile length field still costs at
 // most the bytes actually present in the stream.
 func readPayloadPooled(cr *countingReader, n int) ([]byte, error) {
@@ -331,31 +338,25 @@ func (tr *Reader) Close() error { return nil }
 // has returned io.EOF, and nil if the footer was lost in lenient mode.
 func (tr *Reader) StaticCounts() []uint64 { return tr.counts }
 
-// fail records a terminal error; every subsequent Next repeats it.
+// fail records a terminal error and releases any decode pipeline; every
+// subsequent Next repeats the error.
 func (tr *Reader) fail(err error) error {
 	tr.sticky = err
+	tr.pipe.shutdown()
 	return err
+}
+
+// end marks a clean end of stream and releases any decode pipeline.
+func (tr *Reader) end() error {
+	tr.done = true
+	tr.pipe.shutdown()
+	return io.EOF
 }
 
 // recoverableKind reports whether err is format-level damage a lenient
 // reader may skip past, as opposed to an I/O failure that must surface.
 func recoverableKind(err error) bool {
 	return errors.Is(err, ErrMalformed) || errors.Is(err, ErrTruncated) || errors.Is(err, ErrChecksum)
-}
-
-// frameEnd converts a frame-scan failure: in lenient mode running out of
-// bytes ends the stream cleanly (with the damage recorded in Stats); any
-// other failure is terminal.
-func (tr *Reader) frameEnd(err error) error {
-	if tr.lenient && errors.Is(err, ErrTruncated) {
-		tr.stats.Truncated = true
-		if tr.counts == nil {
-			tr.stats.FooterLost = true
-		}
-		tr.done = true
-		return io.EOF
-	}
-	return tr.fail(err)
 }
 
 // Next decodes the next event into e. It returns io.EOF at the end of the
@@ -376,16 +377,20 @@ func (tr *Reader) Next(e *Event) error {
 	if tr.ctx != nil && tr.stats.Events&1023 == 0 && tr.ctx.Err() != nil {
 		return tr.fail(canceledErr(tr.ctx))
 	}
-	var err error
 	if tr.version == Version1 {
-		err = tr.next1(e)
-	} else {
-		err = tr.next2(e)
+		err := tr.next1(e)
+		if err == nil {
+			tr.stats.Events++
+		}
+		return err
 	}
-	if err == nil {
-		tr.stats.Events++
+	if err := tr.fill(); err != nil {
+		return err
 	}
-	return err
+	*e = tr.cur.events[tr.curIdx]
+	tr.curIdx++
+	tr.stats.Events++
+	return nil
 }
 
 // --- v1 decode path ------------------------------------------------------
@@ -401,20 +406,17 @@ func (tr *Reader) next1(e *Event) error {
 				tr.stats.Truncated = true
 				tr.stats.FooterLost = true
 				tr.counts = nil
-				tr.done = true
-				return io.EOF
+				return tr.end()
 			}
 			return tr.fail(ferr)
 		}
-		tr.done = true
-		return io.EOF
+		return tr.end()
 	}
 	if tr.lenient && recoverableKind(err) {
 		// v1 has no sync markers: recovery keeps the clean prefix.
 		tr.stats.Truncated = true
 		tr.stats.FooterLost = true
-		tr.done = true
-		return io.EOF
+		return tr.end()
 	}
 	return tr.fail(err)
 }
@@ -512,85 +514,104 @@ func (tr *Reader) readFooterV1() error {
 }
 
 // --- v2 decode path ------------------------------------------------------
+//
+// One decode path serves both readers. The frame walk (frameWalker.next)
+// reads frames in stream order and yields one item per step; every block
+// frame is decoded whole by decodeBlockFrame; advance folds each item into
+// the Reader's Stats and block cursor. A Reader runs all three inline on
+// the consumer's goroutine. A ParallelReader runs the walk on a splitter
+// goroutine and decodeBlockFrame on a worker pool (parallel.go), then
+// feeds the items, still in stream order, into the same fold.
 
-func (tr *Reader) next2(e *Event) error {
-	for {
-		if tr.blockLeft > 0 {
-			blockBase := tr.blockBase
-			err := decodeEventBuf(tr.block, &tr.blockOff, e, tr.numStatic)
-			if err == nil {
-				tr.blockLeft--
-				if tr.blockLeft == 0 && tr.blockOff != len(tr.block) {
-					// Count and payload disagree; the delivered events were
-					// CRC-clean, but the block is damaged.
-					junk := formatErr(blockBase+int64(tr.blockOff), ErrMalformed,
-						"%d trailing bytes in block", len(tr.block)-tr.blockOff)
-					if !tr.lenient {
-						return tr.fail(junk)
-					}
-					tr.skipRestOfBlock()
-				}
-				return nil
-			}
-			werr := formatErr(blockBase+int64(tr.blockOff), ErrMalformed, "%v", err)
-			if !tr.lenient {
-				return tr.fail(werr)
-			}
-			tr.skipRestOfBlock()
-			continue
-		}
-		if err := tr.readFrame(); err != nil {
-			return err
-		}
-	}
+// frameKind classifies one frame-walk item.
+type frameKind uint8
+
+const (
+	// frameBlock: a block frame as read, to be decoded by decodeBlockFrame.
+	frameBlock frameKind = iota
+	// frameSkip: lenient damage — a resync's discarded bytes, or a whole
+	// frame that could not be read.
+	frameSkip
+	// frameFooter: the parsed footer frame; the walk ends here.
+	frameFooter
+	// frameErr: a terminal failure; the walk ends here.
+	frameErr
+	// frameEOF: a lenient walk ran out of bytes before the footer.
+	frameEOF
+)
+
+// frameItem is one step of the frame walk. The fields set depend on kind.
+type frameItem struct {
+	kind       frameKind
+	bf         blockFrame  // frameBlock, before decoding
+	block      blockResult // frameBlock, after decodeBlockFrame
+	footer     footerFrame // frameFooter
+	trailerErr error       // frameFooter: problem reading the trailing magic
+	skipBytes  int64       // frameSkip
+	err        error       // frameErr
 }
 
-// skipRestOfBlock abandons the current block in lenient mode.
-func (tr *Reader) skipRestOfBlock() {
-	tr.stats.BlocksSkipped++
-	tr.stats.BytesSkipped += int64(len(tr.block) - tr.blockOff)
-	tr.block = tr.block[:0]
-	tr.blockOff = 0
-	tr.blockLeft = 0
+// last reports whether the walk ends with this item.
+func (it *frameItem) last() bool {
+	return it.kind == frameFooter || it.kind == frameErr || it.kind == frameEOF
 }
 
-// readFrame advances to the next event block (filling the block cursor)
-// or, at the footer, parses the counts and returns io.EOF with done set.
-func (tr *Reader) readFrame() error {
-	for {
-		if tr.ctx != nil && tr.ctx.Err() != nil {
-			return tr.fail(canceledErr(tr.ctx))
-		}
-		marker, skipped, err := tr.nextMarker()
+// frameWalker is the v2 frame walk's state. It belongs to whoever runs the
+// walk: the Reader itself, or a ParallelReader's splitter goroutine.
+type frameWalker struct {
+	cr        *countingReader
+	numStatic int
+	lenient   bool
+	// marker is a frame marker already scanned but not yet read: a resync
+	// yields its skip item first and reads the frame it found on the next
+	// step.
+	marker string
+}
+
+// next is the one frame-walk step: it scans for the next frame marker
+// (byte-by-byte resynchronisation in lenient mode), reads the frame the
+// marker opens, and yields one item. A block frame comes back as read —
+// CRC unchecked, payload undecoded — and a footer frame comes back parsed,
+// with the trailer magic already checked. Lenient damage becomes a skip
+// item, and running out of bytes ends a lenient walk with an eof item; any
+// other failure is an error item. next must not be called after an item
+// for which last reports true.
+func (w *frameWalker) next() frameItem {
+	marker := w.marker
+	w.marker = ""
+	if marker == "" {
+		m, skipped, err := scanMarker(w.cr, w.lenient)
 		if err != nil {
-			return err
+			if w.lenient && errors.Is(err, ErrTruncated) {
+				return frameItem{kind: frameEOF}
+			}
+			return frameItem{kind: frameErr, err: err}
 		}
 		if skipped > 0 {
-			tr.stats.BlocksSkipped++
-			tr.stats.BytesSkipped += skipped
+			w.marker = m
+			return frameItem{kind: frameSkip, skipBytes: skipped}
 		}
-		frameStart := tr.cr.n - 4 // marker already consumed
-		var ferr error
-		isFooter := marker == countMarker
-		if isFooter {
-			ferr = tr.readFooterV2()
-		} else {
-			ferr = tr.readBlockV2(marker == blockMarkerC)
-		}
-		if ferr == nil {
-			if isFooter {
-				tr.done = true
-				return io.EOF
-			}
-			return nil
-		}
-		if tr.lenient && recoverableKind(ferr) {
-			tr.stats.BlocksSkipped++
-			tr.stats.BytesSkipped += tr.cr.n - frameStart
-			continue // rescan for the next marker
-		}
-		return tr.fail(ferr)
+		marker = m
 	}
+	frameStart := w.cr.n - 4 // marker already consumed
+	var it frameItem
+	var err error
+	if marker == countMarker {
+		it.kind = frameFooter
+		if it.footer, err = readFooterFrame(w.cr, w.numStatic); err == nil {
+			it.trailerErr = readTrailerMagic(w.cr)
+		}
+	} else {
+		it.kind = frameBlock
+		it.bf, err = readBlockFrame(w.cr, marker == blockMarkerC)
+	}
+	if err == nil {
+		return it
+	}
+	if w.lenient && recoverableKind(err) {
+		return frameItem{kind: frameSkip, skipBytes: w.cr.n - frameStart}
+	}
+	return frameItem{kind: frameErr, err: err}
 }
 
 // scanMarker reads the next 4-byte frame marker. In strict mode anything
@@ -622,16 +643,6 @@ func scanMarker(cr *countingReader, lenient bool) (string, int64, error) {
 	}
 }
 
-// nextMarker is scanMarker bound to the Reader's stream and failure
-// bookkeeping (sticky errors, lenient end-of-stream).
-func (tr *Reader) nextMarker() (string, int64, error) {
-	m, skipped, err := scanMarker(tr.cr, tr.lenient)
-	if err != nil {
-		return "", 0, tr.frameEnd(err)
-	}
-	return m, skipped, nil
-}
-
 // blockFrame is one framed v2 event block as read off the stream, before
 // CRC verification, decompression, or event decoding.
 type blockFrame struct {
@@ -652,8 +663,8 @@ func (bf *blockFrame) frameLen() int64 {
 // readBlockFrame reads a block frame's codec flag, lengths, checksum
 // field, and stored payload; the marker is already consumed (compressed
 // reports which of the two block markers it was). The CRC is not verified
-// and the payload not decompressed here, so a parallel decoder can farm
-// that (and event decoding) out to workers.
+// and the payload not decompressed here: that, and event decoding, is
+// decodeBlockFrame's work, which a ParallelReader farms out to workers.
 //
 // Every length is validated against maxBlockLen before any allocation —
 // critically the declared *uncompressed* length, so a hostile frame
@@ -712,31 +723,89 @@ func readBlockFrame(cr *countingReader, compressed bool) (blockFrame, error) {
 	return bf, nil
 }
 
-// readBlockV2 parses one framed event block into the block cursor,
-// CRC-checking the stored bytes and inflating compressed payloads.
-func (tr *Reader) readBlockV2(compressed bool) error {
-	bf, err := readBlockFrame(tr.cr, compressed)
-	if err != nil {
-		return err
-	}
+// blockResult is one block frame's decoded events and accounting.
+type blockResult struct {
+	events []Event
+	// err is the terminal error a strict reader reports after delivering
+	// events; always nil in lenient mode, where in-block damage becomes
+	// skip accounting instead.
+	err error
+	// blocks is 1 when the payload was CRC-clean (Stats.Blocks).
+	blocks uint64
+	// compressed is 1 when the payload was stored compressed
+	// (Stats.BlocksCompressed).
+	compressed uint64
+	// blocksSkipped/bytesSkipped carry lenient damage accounting.
+	blocksSkipped uint64
+	bytesSkipped  int64
+}
+
+// decodeBlockFrame CRC-checks, decompresses, and decodes one block frame;
+// it is the only v2 event decoder. In strict mode the first damage is an
+// error after the cleanly decoded prefix (a block with trailing junk
+// withholds its final event); in lenient mode damage becomes skip
+// accounting and every clean event is delivered. The frame's payload
+// buffer is recycled before returning.
+func decodeBlockFrame(bf blockFrame, numStatic int, lenient bool) blockResult {
+	defer putPayloadBuf(bf.payload)
+	var r blockResult
 	if crc32.Checksum(bf.payload, castagnoli) != bf.crc {
-		return formatErr(bf.frameOff, ErrChecksum, "block checksum")
+		if lenient {
+			r.blocksSkipped = 1
+			r.bytesSkipped = bf.frameLen()
+		} else {
+			r.err = formatErr(bf.frameOff, ErrChecksum, "block checksum")
+		}
+		return r
 	}
 	payload := bf.payload
 	if bf.codec != CodecNone {
-		payload, err = expandBlock(&bf)
+		inflated, err := expandBlock(&bf)
 		if err != nil {
-			return err
+			if lenient {
+				r.blocksSkipped = 1
+				r.bytesSkipped = bf.frameLen()
+			} else {
+				r.err = err
+			}
+			return r
 		}
-		putPayloadBuf(bf.payload)
-		tr.stats.BlocksCompressed++
+		payload = inflated
+		defer putPayloadBuf(inflated)
+		r.compressed = 1
 	}
-	tr.block = payload
-	tr.blockOff = 0
-	tr.blockLeft = bf.count
-	tr.blockBase = bf.payloadOff
-	tr.stats.Blocks++
-	return nil
+	r.blocks = 1
+	r.events = getEventSlice(int(bf.count))
+	off := 0
+	for left := bf.count; left > 0; left-- {
+		var e Event
+		if err := decodeEventBuf(payload, &off, &e, numStatic); err != nil {
+			werr := formatErr(bf.payloadOff+int64(off), ErrMalformed, "%v", err)
+			if lenient {
+				r.blocksSkipped = 1
+				r.bytesSkipped = int64(len(payload) - off)
+			} else {
+				r.err = werr
+			}
+			return r
+		}
+		if left == 1 && off != len(payload) {
+			// Count and payload disagree; the delivered events were
+			// CRC-clean, but the block is damaged.
+			junk := formatErr(bf.payloadOff+int64(off), ErrMalformed,
+				"%d trailing bytes in block", len(payload)-off)
+			if lenient {
+				r.events = append(r.events, e)
+				r.blocksSkipped = 1
+				r.bytesSkipped = int64(len(payload) - off)
+			} else {
+				r.err = junk
+			}
+			return r
+		}
+		r.events = append(r.events, e)
+	}
+	return r
 }
 
 // footerFrame is the parsed v2 static-count footer.
@@ -805,26 +874,92 @@ func readTrailerMagic(cr *countingReader) error {
 	return nil
 }
 
-// readFooterV2 parses the framed count footer and the trailing magic.
-func (tr *Reader) readFooterV2() error {
-	ff, err := readFooterFrame(tr.cr, tr.numStatic)
-	if err != nil {
-		return err
-	}
-	tr.stats.EventsDeclared = ff.total
-	if !tr.lenient && ff.total != tr.stats.Events {
-		return formatErr(ff.frameOff, ErrMalformed, "footer declares %d events, stream has %d", ff.total, tr.stats.Events)
-	}
-	if merr := readTrailerMagic(tr.cr); merr != nil {
-		if !tr.lenient {
-			return merr
+// fill makes an event current in the block cursor, advancing past
+// exhausted blocks; it fails with the current block's terminal error, a
+// fold failure, or io.EOF.
+func (tr *Reader) fill() error {
+	for tr.curIdx >= len(tr.cur.events) {
+		if tr.cur.err != nil {
+			return tr.fail(tr.cur.err)
 		}
-		// The counts themselves were CRC-clean; keep them but note the
-		// missing trailer.
-		tr.stats.Truncated = true
+		if err := tr.advance(); err != nil {
+			return err
+		}
 	}
-	tr.counts = ff.counts
 	return nil
+}
+
+// advance is the accounting fold both readers share. It pulls frame-walk
+// items in stream order and folds them into Stats until a decoded block is
+// current (nil), the stream ends (io.EOF: the footer's counts are kept, or
+// a lenient stream ran out early), or a terminal error occurs (recorded by
+// fail). It is called only with the current block exhausted and
+// error-free.
+func (tr *Reader) advance() error {
+	if tr.cur.events != nil && !tr.curHandedOff {
+		putEventSlice(tr.cur.events)
+	}
+	tr.cur, tr.curIdx, tr.curHandedOff = blockResult{}, 0, false
+	for {
+		// Per-frame cancellation probe: checking before the pull keeps
+		// cancellation deterministic (a ready item never races a done
+		// context).
+		if tr.ctx != nil && tr.ctx.Err() != nil {
+			return tr.fail(canceledErr(tr.ctx))
+		}
+		it, err := tr.pull()
+		if err != nil {
+			return tr.fail(err)
+		}
+		switch it.kind {
+		case frameBlock:
+			r := it.block
+			tr.stats.Blocks += r.blocks
+			tr.stats.BlocksCompressed += r.compressed
+			tr.stats.BlocksSkipped += r.blocksSkipped
+			tr.stats.BytesSkipped += r.bytesSkipped
+			tr.cur = r
+			return nil
+		case frameSkip:
+			tr.stats.BlocksSkipped++
+			tr.stats.BytesSkipped += it.skipBytes
+		case frameFooter:
+			tr.stats.EventsDeclared = it.footer.total
+			if !tr.lenient && it.footer.total != tr.stats.Events {
+				return tr.fail(formatErr(it.footer.frameOff, ErrMalformed,
+					"footer declares %d events, stream has %d", it.footer.total, tr.stats.Events))
+			}
+			if it.trailerErr != nil {
+				if !tr.lenient {
+					return tr.fail(it.trailerErr)
+				}
+				// The counts themselves were CRC-clean; keep them but note
+				// the missing trailer.
+				tr.stats.Truncated = true
+			}
+			tr.counts = it.footer.counts
+			return tr.end()
+		case frameEOF:
+			tr.stats.Truncated = true
+			tr.stats.FooterLost = true
+			return tr.end()
+		default: // frameErr
+			return tr.fail(it.err)
+		}
+	}
+}
+
+// pull yields the next frame-walk item with any block already decoded:
+// stepped and decoded inline, or received from a ParallelReader pipeline.
+func (tr *Reader) pull() (frameItem, error) {
+	if tr.pipe != nil {
+		return tr.pipe.next(tr.ctx)
+	}
+	it := tr.walk.next()
+	if it.kind == frameBlock {
+		it.block = decodeBlockFrame(it.bf, tr.numStatic, tr.lenient)
+	}
+	return it, nil
 }
 
 // decodeEventBuf decodes one event record from buf at *off.

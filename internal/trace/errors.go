@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -55,13 +57,24 @@ func formatErr(off int64, kind error, format string, args ...any) error {
 	return &FormatError{Offset: off, Err: kind, Detail: fmt.Sprintf(format, args...)}
 }
 
+// errVarintOverflow is the error binary.ReadUvarint returns for a varint
+// longer than 64 bits; encoding/binary does not export it.
+var errVarintOverflow = func() error {
+	_, err := binary.ReadUvarint(bytes.NewReader(bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64)))
+	return err
+}()
+
 // ioErr classifies a read failure at offset off: end-of-stream conditions
-// become ErrTruncated; any other I/O error passes through as the kind so
-// callers can still match the underlying error.
+// become ErrTruncated, an overlong varint is ErrMalformed (the bytes were
+// read fine; they violate the format), and any other I/O error passes
+// through as the kind so callers can still match the underlying error.
 func ioErr(off int64, err error, format string, args ...any) error {
-	kind := err
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
+	kind, detail := err, fmt.Sprintf(format, args...)
+	switch err {
+	case io.EOF, io.ErrUnexpectedEOF:
 		kind = ErrTruncated
+	case errVarintOverflow:
+		kind, detail = ErrMalformed, detail+": varint overflows 64 bits"
 	}
-	return &FormatError{Offset: off, Err: kind, Detail: fmt.Sprintf(format, args...)}
+	return &FormatError{Offset: off, Err: kind, Detail: detail}
 }

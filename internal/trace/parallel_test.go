@@ -196,7 +196,8 @@ func encodeCorpus(t *testing.T) map[string][]byte {
 
 // TestParallelDifferentialCorpus holds the parallel reader equal to the
 // sequential one over every corpus shape, across worker counts (including
-// the Workers(1) sequential fallback and Workers(0) = GOMAXPROCS).
+// Workers(1), which decodes inline with no pipeline, and Workers(0) =
+// GOMAXPROCS).
 func TestParallelDifferentialCorpus(t *testing.T) {
 	corpus := encodeCorpus(t)
 	for name, data := range corpus {

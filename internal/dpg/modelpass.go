@@ -13,11 +13,23 @@ import (
 // updates predictor state the next event's outcomes depend on — so it
 // always consumes the stream in execution order, downstream of whatever
 // (shardable) pre-pass produced the static counts it needs up front.
+//
+// The pass allocates in proportion to its live state, not to events. Every
+// value record has exactly one owner — its register, its memory word, or
+// nobody (an `in` operand's D value) — and goes back to a per-pass free
+// list when its owner lets go of it; a recycled record keeps the capacity
+// of its uses list and influence storage. Influence sets flow through an
+// event as read-only views (influence.go) into the consumed records, the
+// merge buffer and the singleton scratch. The produced value's set is
+// copied into its own record before the record it replaces is released,
+// since an in-place update such as `add $t0,$t0,$t1` reads that record.
 
 // value is the model's record of one live produced value: who produced it,
 // whether it was predicted at production, the generator influence it
 // carries, and which static consumers have used it (for single- vs
-// repeated-use arc classification).
+// repeated-use arc classification). A record has one owner at a time and is
+// recycled through modelPass.newValue and release; infl's items are the
+// record's own storage, which views handed out during an event may share.
 type value struct {
 	isD       bool
 	writeOnce bool // producer's static instruction executes exactly once
@@ -131,6 +143,7 @@ type modelPass struct {
 
 	regs [isa.NumRegs]*value
 	mem  map[uint32]*value
+	free []*value // released records, ready for reuse
 
 	// Generator table, indexed by generator id.
 	genClass []GenClass
@@ -140,6 +153,10 @@ type modelPass struct {
 
 	runLen   uint64 // current predictable-sequence run length
 	scratch  []inflSet
+	mergeBuf []inflItem // storage behind the event's merged set
+	// singles backs the singleton sets of generators rooted this event:
+	// one slot per operand (see processArc) and one for the node.
+	singles  [4]inflItem
 	nodeIdx  uint64 // index of the dynamic instruction being observed
 	finished bool
 }
@@ -201,10 +218,41 @@ func newModelPassOracle(name string, staticCount []uint64, cfg Config, predName 
 	return m
 }
 
+// newValue returns a cleared value record, reusing a released one (and the
+// capacity of its uses and influence storage) when there is one.
+func (m *modelPass) newValue() *value {
+	n := len(m.free)
+	if n == 0 {
+		return &value{}
+	}
+	v := m.free[n-1]
+	m.free = m.free[:n-1]
+	*v = value{uses: v.uses[:0], infl: inflSet{items: v.infl.items[:0]}}
+	return v
+}
+
+// release returns a record nobody holds any more to the free list. Views
+// into its influence storage stay valid until the next newValue.
+func (m *modelPass) release(v *value) {
+	if v != nil {
+		m.free = append(m.free, v)
+	}
+}
+
 // newDValue creates a fresh D node's value record.
 func (m *modelPass) newDValue() *value {
 	m.res.DNodes++
-	return &value{isD: true, src: NodeRef{ID: m.res.DNodes - 1, D: true}}
+	v := m.newValue()
+	v.isD = true
+	v.src = NodeRef{ID: m.res.DNodes - 1, D: true}
+	return v
+}
+
+// singleInfl returns a view of the one-generator set {gen at distance 0},
+// backed by singles[slot].
+func (m *modelPass) singleInfl(slot int, gen uint32) inflSet {
+	m.singles[slot] = inflItem{gen: gen}
+	return inflSet{items: m.singles[slot : slot+1 : slot+1]}
 }
 
 // regValue returns the live value in register r, creating a D record for
@@ -253,8 +301,8 @@ func (m *modelPass) recordPropagatingElement(s inflSet) {
 	for _, it := range s.items {
 		mask |= 1 << m.genClass[it.gen]
 		m.genTree[it.gen]++
-		if it.dist > m.genDepth[it.gen] {
-			m.genDepth[it.gen] = it.dist
+		if d := it.dist + s.off; d > m.genDepth[it.gen] {
+			m.genDepth[it.gen] = d
 		}
 	}
 	for c := GenClass(0); c < NumGenClass; c++ {
@@ -271,11 +319,11 @@ func (m *modelPass) recordPropagatingElement(s inflSet) {
 	ps.DistHist[BucketOf(s.maxDist())]++
 }
 
-// processArc accounts the dependence arc from v to the consumer at
-// consumerPC whose operand prediction outcome is consumerPred. It returns
+// processArc accounts the dependence arc from v to the consumer's operand
+// slot at consumerPC whose prediction outcome is consumerPred. It returns
 // the influence contribution flowing into the consumer (empty unless the
-// consumer-side prediction was correct).
-func (m *modelPass) processArc(v *value, consumerPC uint32, consumerPred bool, consumedVal uint32) inflSet {
+// consumer-side prediction was correct), a view valid for this event.
+func (m *modelPass) processArc(v *value, slot int, consumerPC uint32, consumerPred bool, consumedVal uint32) inflSet {
 	label := arcLabel(v.predicted, consumerPred)
 	m.res.Arcs++
 	if v.isD {
@@ -321,7 +369,7 @@ func (m *modelPass) processArc(v *value, consumerPC uint32, consumerPred bool, c
 		return contrib
 	case ArcNP:
 		// The arc generates predictability: it roots a new tree.
-		return singleInfl(m.newGen(v.genClass(), consumerPC))
+		return m.singleInfl(slot, m.newGen(v.genClass(), consumerPC))
 	default: // ArcPN terminates, ArcNN propagates unpredictability
 		return inflSet{}
 	}
@@ -365,6 +413,7 @@ func (m *modelPass) Observe(e *trace.Event) error {
 	contribs := m.scratch[:0]
 	dataSlot, dataIsMem, isPass := isa.DataSlot(op)
 	dataPred := false
+	var inD *value // an `in` operand's D value, which nobody holds
 
 	// Register source operands. Reads of $0 are immediates.
 	for slot := 0; slot < int(e.NSrc); slot++ {
@@ -375,7 +424,7 @@ func (m *modelPass) Observe(e *trace.Event) error {
 		}
 		v := m.regValue(r)
 		pred := m.oracle.predictInput(pc, slot, e.SrcVal[slot])
-		contrib := m.processArc(v, pc, pred, e.SrcVal[slot])
+		contrib := m.processArc(v, slot, pc, pred, e.SrcVal[slot])
 		if pred {
 			anyP = true
 			if len(contrib.items) > 0 {
@@ -394,11 +443,12 @@ func (m *modelPass) Observe(e *trace.Event) error {
 		var v *value
 		if op == isa.OpIn {
 			v = m.newDValue() // every program input word is a fresh D node
+			inD = v
 		} else {
 			v = m.memValue(e.Addr &^ 3)
 		}
 		pred := m.oracle.predictInput(pc, 2, e.MemVal)
-		contrib := m.processArc(v, pc, pred, e.MemVal)
+		contrib := m.processArc(v, 2, pc, pred, e.MemVal)
 		if pred {
 			anyP = true
 			if len(contrib.items) > 0 {
@@ -468,31 +518,36 @@ func (m *modelPass) Observe(e *trace.Event) error {
 		if !m.cfg.DisablePaths {
 			switch {
 			case class.Propagates():
-				merged := mergeInfl(contribs, MaxTrackedGens)
+				merged := mergeInfl(contribs, MaxTrackedGens, &m.mergeBuf)
 				outInfl = merged.bumped()
 				m.recordPropagatingElement(outInfl)
 			case class.Generates():
-				outInfl = singleInfl(m.newGen(genClassForNode(class), pc))
+				outInfl = m.singleInfl(3, m.newGen(genClassForNode(class), pc))
 			}
 		}
 	}
 
-	// Install the produced value for downstream consumers.
-	if isa.WritesValue(op) && !isa.IsBranch(op) {
-		writeOnce := int(pc) < len(m.staticCount) && m.staticCount[pc] == 1
-		nv := &value{writeOnce: writeOnce, predicted: outP, infl: outInfl, src: NodeRef{ID: m.nodeIdx}}
-		switch {
-		case isa.IsStore(op):
-			m.mem[e.Addr&^3] = nv
-		case op == isa.OpJr:
-			// The target "value" flows to control, not to a register.
-		default:
-			if e.DstReg != isa.NoReg && e.DstReg != 0 {
-				// For jalr this attaches the (pass-through) target
-				// prediction outcome to the written return address — a
-				// simplification; indirect calls are rare in the workloads.
-				m.regs[e.DstReg] = nv
-			}
+	// Install the produced value for downstream consumers. A value nobody
+	// would hold (jr's target, which flows to control, and writes to $0)
+	// gets no record. The new record takes a copy of outInfl before the
+	// record it replaces, which outInfl may view, is released.
+	if isa.WritesValue(op) && !isa.IsBranch(op) && op != isa.OpJr &&
+		(isa.IsStore(op) || e.DstReg != isa.NoReg && e.DstReg != 0) {
+		nv := m.newValue()
+		nv.writeOnce = int(pc) < len(m.staticCount) && m.staticCount[pc] == 1
+		nv.predicted = outP
+		nv.src = NodeRef{ID: m.nodeIdx}
+		nv.infl = inflSet{items: append(nv.infl.items, outInfl.items...), off: outInfl.off, over: outInfl.over}
+		if isa.IsStore(op) {
+			addr := e.Addr &^ 3
+			m.release(m.mem[addr])
+			m.mem[addr] = nv
+		} else {
+			// For jalr this attaches the (pass-through) target prediction
+			// outcome to the written return address — a simplification;
+			// indirect calls are rare in the workloads.
+			m.release(m.regs[e.DstReg])
+			m.regs[e.DstReg] = nv
 		}
 	}
 
@@ -513,6 +568,7 @@ func (m *modelPass) Observe(e *trace.Event) error {
 		m.endRun()
 	}
 
+	m.release(inD)
 	m.scratch = contribs[:0] // recycle the backing array for the next event
 	return nil
 }

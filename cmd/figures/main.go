@@ -20,7 +20,7 @@ func main() {
 	experiment := flag.String("experiment", "", "experiment id (default: all); see -list")
 	scale := flag.Float64("scale", 1.0, "workload size multiplier")
 	seed := flag.Uint64("seed", 1, "workload input seed")
-	parallel := flag.Int("parallel", 4, "concurrent model runs during precompute")
+	parallel := flag.Int("parallel", 4, "concurrent model runs during precompute; with -tracedir, concurrent fused passes, each holding one workload's full observer set in memory")
 	traceDir := flag.String("tracedir", "", "stream pre-generated <name>.dpg trace files from this directory instead of regenerating workloads in memory; every experiment shares one decode per trace (fused observer fan-out)")
 	workers := flag.Int("workers", 0, "concurrent decode workers per streamed trace file with -tracedir (0 = all cores)")
 	paper := flag.Bool("paper", false, "restrict to the source paper's corpus: 12 SPEC95-modeled workloads x 3 predictors (default: extended corpus with graph workloads and tage/ldbp)")

@@ -159,7 +159,11 @@ func TestConfidenceSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points := ConfidenceSweep(tr, predictor.KindContext, 7)
+	sim := NewConfidenceSim(predictor.KindContext, 7)
+	if err := ObserveTrace(tr, sim); err != nil {
+		t.Fatal(err)
+	}
+	points := sim.Points()
 	if len(points) != 8 {
 		t.Fatalf("got %d points, want 8", len(points))
 	}
@@ -239,7 +243,7 @@ func TestSpeculateFrontendBound(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		tr.Append(trace.Event{PC: 0, Op: isa.OpLi, DstReg: 8, DstVal: uint32(i), HasImm: true})
 	}
-	st := Speculate(tr, predictor.KindLast, SpecConfig{Width: 4, Threshold: 8, Penalty: 8})
+	st := speculate(t, tr, predictor.KindLast, SpecConfig{Width: 4, Threshold: 8, Penalty: 8})
 	if st.Cycles < 250 || st.Cycles > 260 {
 		t.Errorf("frontend-bound cycles = %d, want ~250", st.Cycles)
 	}
@@ -259,8 +263,8 @@ func TestSpeculateChain(t *testing.T) {
 			DstReg: 8, DstVal: uint32(i + 1), HasImm: true,
 		})
 	}
-	base := Speculate(tr, predictor.KindStride, SpecConfig{Width: 64, Threshold: 8, Penalty: 8})
-	spec := Speculate(tr, predictor.KindStride, SpecConfig{Width: 64, Threshold: 1, Penalty: 8})
+	base := speculate(t, tr, predictor.KindStride, SpecConfig{Width: 64, Threshold: 8, Penalty: 8})
+	spec := speculate(t, tr, predictor.KindStride, SpecConfig{Width: 64, Threshold: 1, Penalty: 8})
 	if base.Cycles < 500 {
 		t.Errorf("unspeculated chain cycles = %d, want >= 500", base.Cycles)
 	}
@@ -287,8 +291,8 @@ func TestSpeculateConfidenceProtects(t *testing.T) {
 			DstReg: 9, DstVal: r(),
 		})
 	}
-	ungated := Speculate(tr, predictor.KindContext, SpecConfig{Width: 64, Threshold: 0, Penalty: 8})
-	gated := Speculate(tr, predictor.KindContext, SpecConfig{Width: 64, Threshold: 7, Penalty: 8})
+	ungated := speculate(t, tr, predictor.KindContext, SpecConfig{Width: 64, Threshold: 0, Penalty: 8})
+	gated := speculate(t, tr, predictor.KindContext, SpecConfig{Width: 64, Threshold: 7, Penalty: 8})
 	if ungated.MisspecPct() < gated.MisspecPct() {
 		t.Errorf("gating should reduce misspeculation rate: %.1f%% vs %.1f%%",
 			ungated.MisspecPct(), gated.MisspecPct())
@@ -310,11 +314,21 @@ func newTestRNG(seed uint32) func() uint32 {
 	}
 }
 
+// speculate runs one SpecSim over tr through ObserveTrace.
+func speculate(t *testing.T, tr *trace.Trace, kind predictor.Kind, cfg SpecConfig) SpecStats {
+	t.Helper()
+	sim := NewSpecSim(tr.Name, kind, cfg)
+	if err := ObserveTrace(tr, sim); err != nil {
+		t.Fatal(err)
+	}
+	return sim.Stats()
+}
+
 func TestSpeculatePanicsOnBadWidth(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("width 0 accepted")
 		}
 	}()
-	Speculate(&trace.Trace{}, predictor.KindLast, SpecConfig{Width: 0})
+	speculate(t, &trace.Trace{}, predictor.KindLast, SpecConfig{Width: 0})
 }

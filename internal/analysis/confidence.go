@@ -81,13 +81,3 @@ func (c *ConfidenceSim) Points() []ConfidencePoint {
 	}
 	return points
 }
-
-// ConfidenceSweep runs the sweep over an in-memory trace — the
-// materializing façade over ConfidenceSim.
-func ConfidenceSweep(t *trace.Trace, kind predictor.Kind, maxLevel uint8) []ConfidencePoint {
-	sim := NewConfidenceSim(kind, maxLevel)
-	for i := range t.Events {
-		sim.Observe(&t.Events[i])
-	}
-	return sim.Points()
-}

@@ -63,8 +63,8 @@ func (s SpecStats) MisspecPct() float64 {
 // SpecSim is the streaming form of the timing model: feed events one at a
 // time with Observe and read the run's statistics with Stats. The fetch
 // cycle of each instruction is its position in the observed stream divided
-// by the machine width, so the sim's output is identical to running
-// Speculate over the materialized trace. Memory stays O(touched memory
+// by the machine width, so a trace file and the same events in memory
+// give identical output. Memory stays O(touched memory
 // words + predictor), independent of trace length, so a suite can drive
 // several sims (one per threshold) in a single pass off a trace-file
 // reader without materializing the events.
@@ -155,14 +155,4 @@ func (s *SpecSim) Stats() SpecStats {
 		Instructions: s.idx, Cycles: s.lastCycle,
 		Speculations: s.specs, Misspeculations: s.misspecs,
 	}
-}
-
-// Speculate runs the timing model over an in-memory trace — the
-// materializing façade over SpecSim.
-func Speculate(t *trace.Trace, kind predictor.Kind, cfg SpecConfig) SpecStats {
-	sim := NewSpecSim(t.Name, kind, cfg)
-	for i := range t.Events {
-		sim.Observe(&t.Events[i])
-	}
-	return sim.Stats()
 }

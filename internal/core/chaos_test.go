@@ -45,29 +45,36 @@ func chaosSource(t *testing.T, target string, boom error, failures *atomic.Int32
 }
 
 // assertCacheConsistent verifies the suite holds no failed entries: every
-// cached trace and result must be a success (errors are evicted, never
-// memoised).
+// cached trace, result and fused product set must be a success (errors are
+// evicted, never memoised).
 func assertCacheConsistent(t *testing.T, s *Suite) {
 	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for name, te := range s.traces {
-		if te != nil && te.err != nil {
-			t.Errorf("stale failed trace entry cached for %q: %v", name, te.err)
+	assertMemoConsistent(t, "trace", &s.traces)
+	assertMemoConsistent(t, "result", &s.results)
+	assertMemoConsistent(t, "fused", &s.fused)
+}
+
+func assertMemoConsistent[V comparable](t *testing.T, label string, c *memo[V]) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var zero V
+	for key, e := range c.m {
+		switch {
+		case e.err != nil:
+			t.Errorf("stale failed %s entry cached for %q: %v", label, key, e.err)
+		case e.v == zero:
+			t.Errorf("empty %s entry cached for %q", label, key)
 		}
 	}
-	for key, re := range s.results {
-		if re == nil {
-			t.Errorf("nil result entry cached for %q", key)
-			continue
-		}
-		if re.err != nil {
-			t.Errorf("stale failed result entry cached for %q: %v", key, re.err)
-		}
-		if re.err == nil && re.res == nil {
-			t.Errorf("empty result entry cached for %q", key)
-		}
-	}
+}
+
+// cached reports whether c holds an entry for key.
+func cached[V any](c *memo[V], key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.m[key]
+	return ok
 }
 
 // TestSuiteChaosPrecompute fails a workload trace load mid-Precompute via
@@ -121,10 +128,8 @@ func TestSuiteResultRetriesAfterFailure(t *testing.T) {
 		t.Fatalf("first Result: err = %v, want the injected fault", err)
 	}
 	assertCacheConsistent(t, s)
-	s.mu.Lock()
-	_, traceCached := s.traces[target]
-	_, resultCached := s.results[target+"/"+predictor.KindLast.String()]
-	s.mu.Unlock()
+	traceCached := cached(&s.traces, target)
+	resultCached := cached(&s.results, target+"/"+predictor.KindLast.String())
 	if traceCached || resultCached {
 		t.Fatalf("failed entries left in cache: trace=%v result=%v", traceCached, resultCached)
 	}
@@ -179,7 +184,7 @@ func TestAnalyzeFileStatsParity(t *testing.T) {
 			var got trace.Stats
 			if _, err := AnalyzeFile(path,
 				WithLenientTrace(), WithTraceStats(&got), WithWorkers(workers),
-				WithKind(predictor.KindLast), WithoutPaths()); err != nil {
+				WithKind(predictor.KindLast)); err != nil {
 				t.Fatalf("%s (workers=%d): AnalyzeFile: %v", path, workers, err)
 			}
 			if got != want {

@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"repro/internal/analysis"
@@ -64,18 +63,6 @@ func WithPredictor(name string, f predictor.Factory) Option {
 		c.model.Predictor = f
 		c.model.PredictorName = name
 	}
-}
-
-// WithoutPaths disables influence tracking for faster classification-only
-// runs.
-func WithoutPaths() Option {
-	return func(c *config) { c.model.DisablePaths = true }
-}
-
-// WithSharedInputOutput switches to a single shared predictor instance for
-// inputs and outputs (the short-circuit ablation; the paper splits them).
-func WithSharedInputOutput() Option {
-	return func(c *config) { c.model.SharedInputOutput = true }
 }
 
 // WithWorkers makes AnalyzeFile decode the trace file with n concurrent
@@ -196,7 +183,9 @@ type SuiteConfig struct {
 	Seed uint64
 	// Parallel bounds the number of concurrent model runs during
 	// Precompute (and RunAll, which precomputes first). Zero or one means
-	// sequential.
+	// sequential. Under TraceFile the unit of work is one workload's fused
+	// decode, so each concurrent pass holds that workload's full observer
+	// set — every model and experiment simulator — in memory at once.
 	Parallel int
 	// Progress, if non-nil, receives one line per model run.
 	Progress io.Writer
@@ -206,8 +195,8 @@ type SuiteConfig struct {
 	TraceSource func(name string, rounds int, seed uint64) (*trace.Trace, error)
 	// TraceFile, if non-nil, maps a workload name to a trace file path
 	// (see TraceDir). Every experiment then reads the fused engine's
-	// single streaming decode of that file — the model runs for all three
-	// predictors plus every streaming experiment observer share one pass
+	// single streaming decode of that file — the model runs for every
+	// suite predictor plus every streaming experiment observer share one pass
 	// (analysis.RunObservers), so each trace file is read exactly once per
 	// suite and every figure and table runs at O(block·workers) peak
 	// memory, never materializing a trace.Trace. Workloads the lookup
@@ -233,23 +222,12 @@ type SuiteConfig struct {
 type Suite struct {
 	cfg SuiteConfig
 
-	mu      sync.Mutex
-	traces  map[string]*traceEntry
-	results map[string]*resultEntry
-	done    map[string]int // predictor runs completed per workload
-	fused   map[string]*fusedEntry
-}
+	traces  memo[*trace.Trace] // by workload
+	results memo[*dpg.Result]  // by "workload/predictor"
+	fused   memo[*products]    // by workload, under TraceFile
 
-type traceEntry struct {
-	once sync.Once
-	t    *trace.Trace
-	err  error
-}
-
-type resultEntry struct {
-	once sync.Once
-	res  *dpg.Result
-	err  error
+	mu   sync.Mutex
+	done map[string]int // predictor runs completed per workload
 }
 
 // NewSuite prepares an experiment suite.
@@ -260,105 +238,55 @@ func NewSuite(cfg SuiteConfig) *Suite {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	return &Suite{
-		cfg:     cfg,
-		traces:  make(map[string]*traceEntry),
-		results: make(map[string]*resultEntry),
-		done:    make(map[string]int),
-		fused:   make(map[string]*fusedEntry),
-	}
-}
-
-// traceFor returns (and caches) the workload's trace at the suite scale.
-// A failed load is never cached: the entry is evicted so a later call
-// retries the source instead of replaying a stale error.
-func (s *Suite) traceFor(name string) (*trace.Trace, error) {
-	s.mu.Lock()
-	te := s.traces[name]
-	if te == nil {
-		te = &traceEntry{}
-		s.traces[name] = te
-	}
-	s.mu.Unlock()
-	te.once.Do(func() {
-		te.t, te.err = s.traceOnce(name)
-	})
-	if te.err != nil {
-		s.mu.Lock()
-		if s.traces[name] == te {
-			delete(s.traces, name)
-		}
-		s.mu.Unlock()
-	}
-	return te.t, te.err
+	return &Suite{cfg: cfg, done: make(map[string]int)}
 }
 
 // Result returns (and caches) the model result for one workload and
 // predictor. The trace is released once every suite predictor has
 // consumed it. Distinct (workload, predictor) pairs compute concurrently.
 func (s *Suite) Result(name string, kind predictor.Kind) (*dpg.Result, error) {
-	key := name + "/" + kind.String()
-	s.mu.Lock()
-	re := s.results[key]
-	if re == nil {
-		re = &resultEntry{}
-		s.results[key] = re
-	}
-	s.mu.Unlock()
-	re.once.Do(func() {
-		if path, ok := s.traceFilePath(name); ok {
+	return s.results.get(name+"/"+kind.String(), func() (*dpg.Result, error) {
+		if _, ok := s.traceFilePath(name); ok {
 			// Streaming path: the fused engine's single decode of the file
 			// serves this model run and every other experiment on the
 			// workload. Nothing enters the trace cache and nothing is ever
 			// materialized.
-			p, err := s.fusedFor(name, path)
+			p, err := s.productsFor(name, "model")
 			if err != nil {
-				re.err = err
-				return
+				return nil, err
 			}
-			if re.res = p.model[kind]; re.res == nil {
-				re.err = fmt.Errorf("%w: predictor %s is outside the suite's corpus %v", ErrConfig, kind, s.suiteKinds())
+			if r := p.model[kind]; r != nil {
+				return r, nil
 			}
-			return
+			return nil, fmt.Errorf("%w: predictor %s is outside the suite's corpus %v", ErrConfig, kind, s.suiteKinds())
 		}
-		t, err := s.traceFor(name)
+		t, err := s.traces.get(name, func() (*trace.Trace, error) { return s.traceOnce(name) })
 		if err != nil {
-			re.err = err
-			return
+			return nil, err
 		}
 		if s.cfg.Progress != nil {
 			fmt.Fprintf(s.cfg.Progress, "running %-5s with %-10s (%d events)\n", name, kind, t.Len())
 		}
-		re.res, re.err = dpg.Run(t, kind)
-		if re.err != nil {
-			return
+		res, err := dpg.Run(t, kind)
+		if err != nil {
+			return nil, err
 		}
 		s.mu.Lock()
 		s.done[name]++
-		if s.done[name] >= len(s.suiteKinds()) {
-			if te := s.traces[name]; te != nil {
-				te.t = nil // free the trace memory; recompute if needed again
-				s.traces[name] = nil
-				delete(s.traces, name)
-			}
-		}
+		last := s.done[name] >= len(s.suiteKinds())
 		s.mu.Unlock()
+		if last {
+			s.traces.drop(name) // free the trace memory; recompute if needed again
+		}
+		return res, nil
 	})
-	if re.err != nil {
-		// Consistency over memoisation: a failed run must not poison the
-		// cache, so evict the entry and let a later call retry.
-		s.mu.Lock()
-		if s.results[key] == re {
-			delete(s.results, key)
-		}
-		s.mu.Unlock()
-	}
-	return re.res, re.err
 }
 
 // Precompute runs every (workload, predictor) model pass up front, using up
 // to cfg.Parallel concurrent runs. Subsequent experiments then only read
-// cached results.
+// cached results. A workload under TraceFile is one job, not one per
+// predictor: its single fused decode yields every predictor's result, so
+// per-predictor jobs would only queue workers behind that one decode.
 func (s *Suite) Precompute() error {
 	par := s.cfg.Parallel
 	if par < 1 {
@@ -388,6 +316,9 @@ func (s *Suite) Precompute() error {
 	for _, name := range s.suiteNames() {
 		for _, k := range s.suiteKinds() {
 			jobs <- job{name: name, kind: k}
+			if _, ok := s.traceFilePath(name); ok {
+				break
+			}
 		}
 	}
 	close(jobs)
@@ -459,68 +390,54 @@ func (s *Suite) suiteKinds() []predictor.Kind {
 	return predictor.AllKinds
 }
 
+// experiment is one runnable table or figure: its id, the one-line
+// description of what it reproduces, and its renderer.
+type experiment struct {
+	id, desc string
+	render   func(s *Suite, w io.Writer) error
+}
+
+// experiments is the suite's one experiment table, in presentation order.
+var experiments = []experiment{
+	{"table1", "Table 1: benchmark DPG characteristics", (*Suite).table1},
+	{"fig5", "Figure 5: overall node and arc predictability", (*Suite).fig5},
+	{"fig6", "Figure 6: generation breakdown", func(s *Suite, w io.Writer) error { return s.breakdown("fig6", w) }},
+	{"fig7", "Figure 7: propagation breakdown", func(s *Suite, w io.Writer) error { return s.breakdown("fig7", w) }},
+	{"fig8", "Figure 8: termination breakdown", func(s *Suite, w io.Writer) error { return s.breakdown("fig8", w) }},
+	{"fig9", "Figure 9: generator-class path analysis", (*Suite).fig9},
+	{"fig10", "Figure 10: tree depth and aggregate propagation (gcc, context)", (*Suite).fig10},
+	{"fig11", "Figure 11: generates per propagate and distances (com/go/gcc, context)", (*Suite).fig11},
+	{"fig12", "Figure 12: predictable sequence lengths (INT average)", (*Suite).fig12},
+	{"fig13", "Figure 13: branch predictability behavior (INT average)", (*Suite).fig13},
+	// Extensions beyond the paper's figures, quantifying its prose claims
+	// (see DESIGN.md §5).
+	{"attribution", "Extension: node classes by operation group (paper §4.2-4.4 narrative)", (*Suite).attribution},
+	{"hotspots", "Extension: static generate points and concentration (paper §4.5 claim)", (*Suite).hotspots},
+	{"unpred", "Extension: decomposition of unpredictability (paper §6 future work)", (*Suite).unpredictability},
+	{"correlation", "Extension: input-correlated output prediction (paper §6 proposal)", (*Suite).correlation},
+	{"reuse", "Extension: instruction reuse potential (paper §1.2/§6)", (*Suite).reuse},
+	{"addresses", "Extension: address vs data predictability at memory ops (paper §1)", (*Suite).addresses},
+	{"confidence", "Extension: confidence-gated value prediction sweep (paper §1.2)", (*Suite).confidence},
+	{"ilp", "Extension: dataflow-limit ILP with and without value prediction (paper §1 / ref [9])", (*Suite).ilp},
+	{"speculation", "Extension: width-limited value speculation vs confidence threshold (paper §1.2)", (*Suite).speculation},
+}
+
 // Experiments lists the runnable experiment ids with a one-line description
 // of the table/figure each reproduces.
 func Experiments() map[string]string {
-	return map[string]string{
-		"table1": "Table 1: benchmark DPG characteristics",
-		"fig5":   "Figure 5: overall node and arc predictability",
-		"fig6":   "Figure 6: generation breakdown",
-		"fig7":   "Figure 7: propagation breakdown",
-		"fig8":   "Figure 8: termination breakdown",
-		"fig9":   "Figure 9: generator-class path analysis",
-		"fig10":  "Figure 10: tree depth and aggregate propagation (gcc, context)",
-		"fig11":  "Figure 11: generates per propagate and distances (com/go/gcc, context)",
-		"fig12":  "Figure 12: predictable sequence lengths (INT average)",
-		"fig13":  "Figure 13: branch predictability behavior (INT average)",
-		// Extensions beyond the paper's figures, quantifying its prose
-		// claims (see DESIGN.md §5).
-		"attribution": "Extension: node classes by operation group (paper §4.2-4.4 narrative)",
-		"hotspots":    "Extension: static generate points and concentration (paper §4.5 claim)",
-		"unpred":      "Extension: decomposition of unpredictability (paper §6 future work)",
-		"correlation": "Extension: input-correlated output prediction (paper §6 proposal)",
-		"reuse":       "Extension: instruction reuse potential (paper §1.2/§6)",
-		"addresses":   "Extension: address vs data predictability at memory ops (paper §1)",
-		"confidence":  "Extension: confidence-gated value prediction sweep (paper §1.2)",
-		"ilp":         "Extension: dataflow-limit ILP with and without value prediction (paper §1 / ref [9])",
-		"speculation": "Extension: width-limited value speculation vs confidence threshold (paper §1.2)",
+	m := make(map[string]string, len(experiments))
+	for _, e := range experiments {
+		m[e.id] = e.desc
 	}
+	return m
 }
 
 // ExperimentIDs returns the experiment ids in presentation order.
 func ExperimentIDs() []string {
-	ids := make([]string, 0, len(Experiments()))
-	for id := range Experiments() {
-		ids = append(ids, id)
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
-	rank := func(id string) int {
-		switch id {
-		case "table1":
-			return 0
-		case "attribution":
-			return 100
-		case "hotspots":
-			return 101
-		case "unpred":
-			return 102
-		case "correlation":
-			return 103
-		case "reuse":
-			return 104
-		case "addresses":
-			return 105
-		case "confidence":
-			return 106
-		case "ilp":
-			return 107
-		case "speculation":
-			return 108
-		}
-		var n int
-		fmt.Sscanf(id, "fig%d", &n)
-		return n
-	}
-	sort.Slice(ids, func(i, j int) bool { return rank(ids[i]) < rank(ids[j]) })
 	return ids
 }
 
@@ -534,41 +451,10 @@ func (s *Suite) Run(id string, w io.Writer) (err error) {
 			err = fmt.Errorf("%w: experiment %s: internal panic: %v", ErrConfig, id, r)
 		}
 	}()
-	switch id {
-	case "table1":
-		return s.table1(w)
-	case "fig5":
-		return s.fig5(w)
-	case "fig6", "fig7", "fig8":
-		return s.breakdown(id, w)
-	case "fig9":
-		return s.fig9(w)
-	case "fig10":
-		return s.fig10(w)
-	case "fig11":
-		return s.fig11(w)
-	case "fig12":
-		return s.fig12(w)
-	case "fig13":
-		return s.fig13(w)
-	case "attribution":
-		return s.attribution(w)
-	case "hotspots":
-		return s.hotspots(w)
-	case "unpred":
-		return s.unpredictability(w)
-	case "correlation":
-		return s.correlation(w)
-	case "reuse":
-		return s.reuse(w)
-	case "addresses":
-		return s.addresses(w)
-	case "confidence":
-		return s.confidence(w)
-	case "ilp":
-		return s.ilp(w)
-	case "speculation":
-		return s.speculation(w)
+	for _, e := range experiments {
+		if e.id == id {
+			return e.render(s, w)
+		}
 	}
 	return fmt.Errorf("core: unknown experiment %q (known: %v)", id, ExperimentIDs())
 }
@@ -850,7 +736,7 @@ func (s *Suite) correlation(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		corr, err := s.correlationResult(name)
+		p, err := s.productsFor(name, "correlation")
 		if err != nil {
 			return err
 		}
@@ -859,7 +745,7 @@ func (s *Suite) correlation(w io.Writer) error {
 			return r.Pct(r.NodeCount[dpg.NodeTermPP] + r.NodeCount[dpg.NodeTermPI])
 		}
 		fmt.Fprintf(w, "%-6s %14.1f %14.1f %18.2f %18.2f\n",
-			name, prop(base), prop(corr), term(base), term(corr))
+			name, prop(base), prop(p.corr), term(base), term(p.corr))
 	}
 	fmt.Fprintln(w, "note: wholesale correlation fragments the tables (every input combination")
 	fmt.Fprintln(w, "warms up separately), so overall propagation drops even where the targeted")
@@ -876,10 +762,11 @@ func (s *Suite) reuse(w io.Writer) error {
 	fmt.Fprintln(w, "Reuse: 64K-entry reuse buffer hit rate vs fully predictable instructions (context)")
 	fmt.Fprintf(w, "%-6s %10s %12s %12s %16s\n", "bench", "eligible", "reuse%", "load-reuse%", "predictable%")
 	for _, name := range intNames() {
-		rs, err := s.reuseStats(name)
+		p, err := s.productsFor(name, "reuse")
 		if err != nil {
 			return err
 		}
+		rs := p.Reuse
 		res, err := s.Result(name, predictor.KindContext)
 		if err != nil {
 			return err
@@ -909,7 +796,7 @@ func (s *Suite) traceFilePath(name string) (string, bool) {
 // touching the result cache (used by experiments that need the raw trace
 // even after the standard predictor runs released it). Callers under
 // TraceFile never get here: they read the fused engine's single decode of
-// the file (see fused.go).
+// the file (see Suite.productsFor).
 func (s *Suite) traceOnce(name string) (*trace.Trace, error) {
 	w, ok := workloads.ByName(name)
 	if !ok {
@@ -963,12 +850,12 @@ func (s *Suite) confidence(w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 	for _, name := range intNames() {
-		points, err := s.confidencePoints(name)
+		p, err := s.productsFor(name, "confidence")
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%-6s", name)
-		for _, pt := range points {
+		for _, pt := range p.Confidence {
 			fmt.Fprintf(w, " %5.1f/%4.1f", pt.CoveragePct, pt.AccuracyPct)
 		}
 		fmt.Fprintln(w)
@@ -987,13 +874,13 @@ func (s *Suite) ilp(w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 	for _, name := range s.suiteNames() {
-		stats, err := s.ilpStats(name)
+		p, err := s.productsFor(name, "ilp")
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-6s %10d", name, stats[0].Instructions)
+		fmt.Fprintf(w, "%-6s %10d", name, p.ILP[0].Instructions)
 		first := true
-		for _, st := range stats {
+		for _, st := range p.ILP {
 			if first {
 				fmt.Fprintf(w, " %10.2f", st.ILPBase())
 				first = false
@@ -1017,13 +904,13 @@ func (s *Suite) speculation(w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 	for _, name := range intNames() {
-		base, byTh, err := s.speculationStats(name)
+		p, err := s.productsFor(name, "speculation")
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-6s %9.2f", name, base.IPC())
-		for _, th := range suiteSpecThresholds {
-			st := byTh[th]
+		// Speculation[0] is the no-speculation baseline.
+		fmt.Fprintf(w, "%-6s %9.2f", name, p.Speculation[0].IPC())
+		for _, st := range p.Speculation[1:] {
 			fmt.Fprintf(w, " %4.2f/%2.0f%%", st.IPC(), st.MisspecPct())
 		}
 		fmt.Fprintln(w)

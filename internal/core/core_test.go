@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dpg"
 	"repro/internal/predictor"
@@ -55,14 +56,6 @@ func TestRunTraceOptions(t *testing.T) {
 	res = mustRunTrace(t, tr, WithPredictor("mine", predictor.KindLast.Factory()))
 	if res.Predictor != "mine" {
 		t.Errorf("WithPredictor name = %q", res.Predictor)
-	}
-	res = mustRunTrace(t, tr, WithKind(predictor.KindLast), WithoutPaths())
-	if res.Path.Elems != 0 {
-		t.Error("WithoutPaths left path stats")
-	}
-	res = mustRunTrace(t, tr, WithKind(predictor.KindLast), WithSharedInputOutput())
-	if res.Nodes == 0 {
-		t.Error("shared-IO run produced nothing")
 	}
 }
 
@@ -116,10 +109,7 @@ func TestSuiteFreesTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.mu.Lock()
-	_, held := s.traces["fig1"]
-	s.mu.Unlock()
-	if held {
+	if cached(&s.traces, "fig1") {
 		t.Error("trace not released after all predictors ran")
 	}
 }
@@ -235,6 +225,57 @@ func TestPrecomputeParallelMatchesSequential(t *testing.T) {
 			}
 			if a.NodeCount != b.NodeCount || a.ArcCount != b.ArcCount || a.Path != b.Path {
 				t.Errorf("%s/%s: parallel result differs from sequential", name, k)
+			}
+		}
+	}
+}
+
+// TestPrecomputeOverlapsTraceFiles checks Precompute honours Parallel
+// under TraceFile: with two workers, a second trace file must start
+// decoding while the first decode is still running. The hook holds the
+// first decode until that happens, failing after a timeout; a schedule
+// that queues one workload's predictors back to back puts both workers
+// behind the same decode and never gets there.
+func TestPrecomputeOverlapsTraceFiles(t *testing.T) {
+	const scale = 0.02
+	dir := t.TempDir()
+	for _, name := range allNames() {
+		writeScaledTrace(t, dir, name, scale)
+	}
+	var (
+		mu      sync.Mutex
+		first   string
+		overlap = make(chan struct{})
+		once    sync.Once
+	)
+	decodeHook = func(path string) {
+		mu.Lock()
+		if first == "" {
+			first = path
+			mu.Unlock()
+			select {
+			case <-overlap:
+			case <-time.After(10 * time.Second):
+				t.Errorf("no other trace file started decoding while %s decoded", path)
+			}
+			return
+		}
+		other := path != first
+		mu.Unlock()
+		if other {
+			once.Do(func() { close(overlap) })
+		}
+	}
+	t.Cleanup(func() { decodeHook = nil })
+
+	s := NewSuite(SuiteConfig{Scale: scale, Parallel: 2, PaperCorpus: true, TraceFile: TraceDir(dir)})
+	if err := s.Precompute(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range allNames() {
+		for _, k := range predictor.Kinds {
+			if _, err := s.Result(name, k); err != nil {
+				t.Fatalf("%s/%s: %v", name, k, err)
 			}
 		}
 	}

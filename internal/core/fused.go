@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
-	"sync"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/dpg"
@@ -11,20 +11,22 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the suite's fused single-pass experiment engine. Under
-// TraceFile, one streaming decode of each workload's trace feeds every
-// consumer at once — the model pipeline for every suite predictor,
-// the correlation model, and the streaming experiment simulators (reuse,
-// ILP, confidence, speculation) — through the observer fan-out
-// (analysis.RunObservers). The first experiment to touch a workload pays
-// for the decode; everything after reads cached products. figures
-// -tracedir therefore reads every trace file exactly once (the footer
-// probe that recovers the model's static counts reads only frame headers,
-// no events), at O(block·workers) peak memory regardless of how many
-// experiments run.
+// This file declares the suite's streaming experiments once: their
+// parameters, the one observer builder that every caller shares (the
+// fused engine, the generated-trace pass, and dpgd through
+// ExperimentObservers), and the suite's per-source scheduling.
+//
+// Under TraceFile, one streaming decode of each workload's trace feeds
+// every consumer at once — the model pipeline for every suite predictor,
+// the correlation model, and the experiment simulators — through the
+// observer fan-out (analysis.RunObservers). The first experiment to touch
+// a workload pays for the decode; everything after reads cached products.
+// A generated trace instead gets one pass per requested experiment, with
+// only that experiment's observers: fusing every product there would make
+// each experiment pay for all the others (DESIGN.md §11).
 
-// The suite's experiment parameters, shared between the fused engine and
-// the renderers so the two can never diverge.
+// The suite's experiment parameters: the paper's §1.2 confidence and
+// speculation study.
 const (
 	// suiteConfMaxLevel is the confidence sweep's top threshold (0..7).
 	suiteConfMaxLevel = 7
@@ -54,52 +56,174 @@ func suiteCorrConfig() dpg.Config {
 	}
 }
 
-// fusedProducts is everything one decode of a workload's trace file
-// yields. The model results cover every predictor kind; the experiment
-// products (corr, reuse, confidence, speculation) are populated only for
-// integer workloads — the only ones whose experiments consume them — and
-// ilp for all.
-type fusedProducts struct {
-	model      map[predictor.Kind]*dpg.Result
-	corr       *dpg.Result
-	reuse      analysis.ReuseStats
-	ilp        []analysis.ILPStats // indexed like Suite.suiteKinds()
-	confidence []analysis.ConfidencePoint
-	specBase   analysis.SpecStats
-	spec       map[uint8]analysis.SpecStats
+// StreamingExperiments returns, sorted, the experiments whose simulators
+// need neither a model nor static counts, so any decode can carry them:
+// the set ExperimentObservers builds and dpgd's ?experiments= accepts.
+func StreamingExperiments() []string {
+	return []string{"confidence", "ilp", "reuse", "speculation"}
 }
 
-// fusedEntry is the singleflight slot for one workload's fused run.
-type fusedEntry struct {
-	once sync.Once
-	p    *fusedProducts
-	err  error
+// ExperimentProducts holds the streaming experiments' results for one
+// trace. An experiment that was not built leaves its field nil.
+type ExperimentProducts struct {
+	Reuse       *analysis.ReuseStats
+	ILP         []analysis.ILPStats        // one per predictor kind
+	Confidence  []analysis.ConfidencePoint // thresholds 0..7
+	Speculation []analysis.SpecStats       // no-speculation baseline, then thresholds 0, 1, 3, 7
 }
 
-// fusedFor returns (and caches) the fused products for one workload's
-// trace file. Concurrent callers for the same workload collapse into one
-// decode; a failed run is evicted so a later call retries instead of
-// replaying a stale error (the same consistency-over-memoisation policy
-// as the result cache).
-func (s *Suite) fusedFor(name, path string) (*fusedProducts, error) {
-	s.mu.Lock()
-	fe := s.fused[name]
-	if fe == nil {
-		fe = &fusedEntry{}
-		s.fused[name] = fe
-	}
-	s.mu.Unlock()
-	fe.once.Do(func() {
-		fe.p, fe.err = s.fusedOnce(name, path)
-	})
-	if fe.err != nil {
-		s.mu.Lock()
-		if s.fused[name] == fe {
-			delete(s.fused, name)
+// products is everything one pass through an observerSet yields.
+type products struct {
+	model map[predictor.Kind]*dpg.Result
+	corr  *dpg.Result
+	ExperimentProducts
+}
+
+// observerSet is one trace's observers, built with the suite's
+// parameters by newObserverSet; obs rides one decode, then products reads
+// the results.
+type observerSet struct {
+	obs   []analysis.Observer
+	kinds []predictor.Kind
+	model []*modelObserver // one per kind
+	corr  *modelObserver
+	reuse *analysis.ReuseSim
+	ilp   []*analysis.ILPSim // one per kind
+	conf  *analysis.ConfidenceSim
+	spec  []*analysis.SpecSim // suiteSpecNever, then suiteSpecThresholds
+}
+
+// newObserverSet builds the observers of the named products for one
+// trace: "model" (one model pass per kind), "correlation", and the
+// streaming experiments, where "ilp" runs one simulator per kind and
+// "confidence" and "speculation" run predictor value. name and counts
+// feed the model builders, which only "model" and "correlation" use.
+func newObserverSet(name string, counts []uint64, kinds []predictor.Kind, value predictor.Kind, ids ...string) (*observerSet, error) {
+	o := &observerSet{kinds: kinds}
+	addModel := func(cfg dpg.Config) (*modelObserver, error) {
+		mo, err := newModelObserver(name, counts, cfg)
+		if err == nil {
+			o.obs = append(o.obs, mo)
 		}
-		s.mu.Unlock()
+		return mo, err
 	}
-	return fe.p, fe.err
+	for _, id := range ids {
+		switch id {
+		case "model":
+			for _, k := range kinds {
+				mo, err := addModel(dpg.Config{Predictor: k.Factory(), PredictorName: k.String()})
+				if err != nil {
+					return nil, err
+				}
+				o.model = append(o.model, mo)
+			}
+		case "correlation":
+			var err error
+			if o.corr, err = addModel(suiteCorrConfig()); err != nil {
+				return nil, err
+			}
+		case "reuse":
+			o.reuse = analysis.NewReuseSim(name, suiteReuseBits)
+			o.obs = append(o.obs, o.reuse)
+		case "ilp":
+			for _, k := range kinds {
+				o.ilp = append(o.ilp, analysis.NewILPSim(name, k))
+				o.obs = append(o.obs, o.ilp[len(o.ilp)-1])
+			}
+		case "confidence":
+			o.conf = analysis.NewConfidenceSim(value, suiteConfMaxLevel)
+			o.obs = append(o.obs, o.conf)
+		case "speculation":
+			for _, th := range append([]uint8{suiteSpecNever}, suiteSpecThresholds...) {
+				o.spec = append(o.spec, analysis.NewSpecSim(name, value, suiteSpecConfig(th)))
+				o.obs = append(o.obs, o.spec[len(o.spec)-1])
+			}
+		default:
+			return nil, fmt.Errorf("%w: no observers for experiment %q", ErrConfig, id)
+		}
+	}
+	return o, nil
+}
+
+// products reads every built observer's result; call it once the decode
+// has finished.
+func (o *observerSet) products() *products {
+	p := &products{}
+	if o.model != nil {
+		p.model = make(map[predictor.Kind]*dpg.Result, len(o.model))
+		for i, mo := range o.model {
+			p.model[o.kinds[i]] = mo.res
+		}
+	}
+	if o.corr != nil {
+		p.corr = o.corr.res
+	}
+	if o.reuse != nil {
+		rs := o.reuse.Stats()
+		p.Reuse = &rs
+	}
+	for _, sim := range o.ilp {
+		p.ILP = append(p.ILP, sim.Stats())
+	}
+	if o.conf != nil {
+		p.Confidence = o.conf.Points()
+	}
+	for _, sim := range o.spec {
+		p.Speculation = append(p.Speculation, sim.Stats())
+	}
+	return p
+}
+
+// ExperimentObservers builds the simulators of the named streaming
+// experiments (see StreamingExperiments) with the suite's parameters,
+// predictor k standing in for every suite predictor. Register obs on one
+// decode (WithObservers); once it has finished, collect returns the
+// products with their stats named name.
+func ExperimentObservers(k predictor.Kind, ids []string) (obs []analysis.Observer, collect func(name string) ExperimentProducts, err error) {
+	for _, id := range ids {
+		if !slices.Contains(StreamingExperiments(), id) {
+			return nil, nil, fmt.Errorf("%w: %q is not a streaming experiment %v", ErrConfig, id, StreamingExperiments())
+		}
+	}
+	o, err := newObserverSet("", nil, []predictor.Kind{k}, k, ids...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return o.obs, func(name string) ExperimentProducts {
+		p := o.products().ExperimentProducts
+		if p.Reuse != nil {
+			p.Reuse.Name = name
+		}
+		for i := range p.ILP {
+			p.ILP[i].Name = name
+		}
+		for i := range p.Speculation {
+			p.Speculation[i].Name = name
+		}
+		return p
+	}, nil
+}
+
+// productsFor returns one workload's products for experiment id (or
+// "model"). A trace file answers from its one fused decode, which yields
+// every product at once and is cached; a generated trace gets a fresh pass
+// with only id's observers.
+func (s *Suite) productsFor(name, id string) (*products, error) {
+	if path, ok := s.traceFilePath(name); ok {
+		return s.fused.get(name, func() (*products, error) { return s.fusedOnce(name, path) })
+	}
+	t, err := s.traceOnce(name)
+	if err != nil {
+		return nil, err
+	}
+	o, err := newObserverSet(t.Name, t.StaticCount, s.suiteKinds(), predictor.KindContext, id)
+	if err != nil {
+		return nil, err
+	}
+	if err := analysis.ObserveTrace(t, o.obs...); err != nil {
+		return nil, err
+	}
+	return o.products(), nil
 }
 
 // fusedCounts recovers the static counts and header name the model
@@ -116,67 +240,25 @@ func (s *Suite) fusedCounts(path string) ([]uint64, string, error) {
 }
 
 // fusedOnce runs the one decode that serves every experiment on one
-// workload. Observers are registered in a fixed order; order is
-// irrelevant to results (each observer only reads the shared events), as
-// the metamorphic tests prove.
-func (s *Suite) fusedOnce(name, path string) (*fusedProducts, error) {
+// workload's trace file. The experiment products are built only for
+// integer workloads — the only ones whose experiments consume them — and
+// ilp for all. Order is irrelevant to results (each observer only reads
+// the shared events), as the metamorphic tests prove.
+func (s *Suite) fusedOnce(name, path string) (*products, error) {
 	counts, tname, err := s.fusedCounts(path)
 	if err != nil {
 		return nil, err
 	}
-	isInt := false
-	for _, n := range intNames() {
-		if n == name {
-			isInt = true
-			break
-		}
+	ids := []string{"model", "ilp"}
+	if slices.Contains(intNames(), name) {
+		ids = append(ids, "correlation", "reuse", "confidence", "speculation")
 	}
-
-	kinds := s.suiteKinds()
-	var obs []analysis.Observer
-	models := make(map[predictor.Kind]*modelObserver, len(kinds))
-	for _, k := range kinds {
-		mo, err := newModelObserver(tname, counts, dpg.Config{
-			Predictor:     k.Factory(),
-			PredictorName: k.String(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		models[k] = mo
-		obs = append(obs, mo)
+	o, err := newObserverSet(tname, counts, s.suiteKinds(), predictor.KindContext, ids...)
+	if err != nil {
+		return nil, err
 	}
-	ilps := make([]*analysis.ILPSim, len(kinds))
-	for i, k := range kinds {
-		ilps[i] = analysis.NewILPSim(tname, k)
-		obs = append(obs, ilps[i])
-	}
-	var (
-		corr     *modelObserver
-		reuse    *analysis.ReuseSim
-		conf     *analysis.ConfidenceSim
-		specBase *analysis.SpecSim
-		specs    map[uint8]*analysis.SpecSim
-	)
-	if isInt {
-		corr, err = newModelObserver(tname, counts, suiteCorrConfig())
-		if err != nil {
-			return nil, err
-		}
-		reuse = analysis.NewReuseSim(tname, suiteReuseBits)
-		conf = analysis.NewConfidenceSim(predictor.KindContext, suiteConfMaxLevel)
-		specBase = analysis.NewSpecSim(tname, predictor.KindContext, suiteSpecConfig(suiteSpecNever))
-		obs = append(obs, corr, reuse, conf, specBase)
-		specs = make(map[uint8]*analysis.SpecSim, len(suiteSpecThresholds))
-		for _, th := range suiteSpecThresholds {
-			sim := analysis.NewSpecSim(tname, predictor.KindContext, suiteSpecConfig(th))
-			specs[th] = sim
-			obs = append(obs, sim)
-		}
-	}
-
 	if s.cfg.Progress != nil {
-		fmt.Fprintf(s.cfg.Progress, "fusing %-5s (%d observers, one decode) from %s\n", name, len(obs), path)
+		fmt.Fprintf(s.cfg.Progress, "fusing %-5s (%d observers, one decode) from %s\n", name, len(o.obs), path)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -189,152 +271,8 @@ func (s *Suite) fusedOnce(name, path string) (*fusedProducts, error) {
 	}
 	defer pr.Close()
 	noteDecode(path)
-	if err := analysis.RunObservers(pr, obs...); err != nil {
+	if err := analysis.RunObservers(pr, o.obs...); err != nil {
 		return nil, fmt.Errorf("core: streaming %s: %w", path, wrapTraceErr(err))
 	}
-
-	p := &fusedProducts{model: make(map[predictor.Kind]*dpg.Result, len(models))}
-	for k, mo := range models {
-		p.model[k] = mo.res
-	}
-	p.ilp = make([]analysis.ILPStats, len(ilps))
-	for i, sim := range ilps {
-		p.ilp[i] = sim.Stats()
-	}
-	if isInt {
-		p.corr = corr.res
-		p.reuse = reuse.Stats()
-		p.confidence = conf.Points()
-		p.specBase = specBase.Stats()
-		p.spec = make(map[uint8]analysis.SpecStats, len(specs))
-		for th, sim := range specs {
-			p.spec[th] = sim.Stats()
-		}
-	}
-	return p, nil
-}
-
-// --- per-experiment accessors ---------------------------------------------
-//
-// Each experiment's renderer asks for its product through one of these:
-// under TraceFile the fused engine's cached products answer, otherwise the
-// experiment runs its simulators over the generated trace itself (still
-// one shared pass per experiment, via observeGenerated).
-
-// observeGenerated runs obs over one pass of the workload's generated
-// trace, with analysis.RunObservers' delivery and isolation contract.
-func (s *Suite) observeGenerated(name string, obs ...analysis.Observer) error {
-	t, err := s.traceOnce(name)
-	if err != nil {
-		return err
-	}
-	return analysis.ObserveTrace(t, obs...)
-}
-
-// correlationResult returns the correlation-model result for one workload.
-func (s *Suite) correlationResult(name string) (*dpg.Result, error) {
-	if path, ok := s.traceFilePath(name); ok {
-		p, err := s.fusedFor(name, path)
-		if err != nil {
-			return nil, err
-		}
-		return p.corr, nil
-	}
-	t, err := s.traceOnce(name)
-	if err != nil {
-		return nil, err
-	}
-	return dpg.RunWith(t, suiteCorrConfig())
-}
-
-// reuseStats returns the reuse-buffer totals for one workload.
-func (s *Suite) reuseStats(name string) (analysis.ReuseStats, error) {
-	if path, ok := s.traceFilePath(name); ok {
-		p, err := s.fusedFor(name, path)
-		if err != nil {
-			return analysis.ReuseStats{}, err
-		}
-		return p.reuse, nil
-	}
-	sim := analysis.NewReuseSim(name, suiteReuseBits)
-	if err := s.observeGenerated(name, sim); err != nil {
-		return analysis.ReuseStats{}, err
-	}
-	return sim.Stats(), nil
-}
-
-// confidencePoints returns the confidence sweep for one workload.
-func (s *Suite) confidencePoints(name string) ([]analysis.ConfidencePoint, error) {
-	if path, ok := s.traceFilePath(name); ok {
-		p, err := s.fusedFor(name, path)
-		if err != nil {
-			return nil, err
-		}
-		return p.confidence, nil
-	}
-	sim := analysis.NewConfidenceSim(predictor.KindContext, suiteConfMaxLevel)
-	if err := s.observeGenerated(name, sim); err != nil {
-		return nil, err
-	}
-	return sim.Points(), nil
-}
-
-// ilpStats returns the dataflow-limit statistics for one workload, one
-// entry per predictor kind in suiteKinds order.
-func (s *Suite) ilpStats(name string) ([]analysis.ILPStats, error) {
-	if path, ok := s.traceFilePath(name); ok {
-		p, err := s.fusedFor(name, path)
-		if err != nil {
-			return nil, err
-		}
-		return p.ilp, nil
-	}
-	// One pass drives every predictor's simulator at once: the base
-	// timeline is identical across kinds, so the sims differ only in their
-	// prediction side.
-	kinds := s.suiteKinds()
-	sims := make([]*analysis.ILPSim, len(kinds))
-	obs := make([]analysis.Observer, len(kinds))
-	for i, k := range kinds {
-		sims[i] = analysis.NewILPSim(name, k)
-		obs[i] = sims[i]
-	}
-	if err := s.observeGenerated(name, obs...); err != nil {
-		return nil, err
-	}
-	out := make([]analysis.ILPStats, len(sims))
-	for i, sim := range sims {
-		out[i] = sim.Stats()
-	}
-	return out, nil
-}
-
-// speculationStats returns the no-speculation baseline plus the stats at
-// each swept threshold for one workload.
-func (s *Suite) speculationStats(name string) (analysis.SpecStats, map[uint8]analysis.SpecStats, error) {
-	if path, ok := s.traceFilePath(name); ok {
-		p, err := s.fusedFor(name, path)
-		if err != nil {
-			return analysis.SpecStats{}, nil, err
-		}
-		return p.specBase, p.spec, nil
-	}
-	// One pass drives the baseline and every threshold at once: the sims
-	// are independent, so the shared pass is byte-identical to running
-	// them separately.
-	base := analysis.NewSpecSim(name, predictor.KindContext, suiteSpecConfig(suiteSpecNever))
-	sims := make(map[uint8]*analysis.SpecSim, len(suiteSpecThresholds))
-	all := []analysis.Observer{base}
-	for _, th := range suiteSpecThresholds {
-		sims[th] = analysis.NewSpecSim(name, predictor.KindContext, suiteSpecConfig(th))
-		all = append(all, sims[th])
-	}
-	if err := s.observeGenerated(name, all...); err != nil {
-		return analysis.SpecStats{}, nil, err
-	}
-	out := make(map[uint8]analysis.SpecStats, len(sims))
-	for th, sim := range sims {
-		out[th] = sim.Stats()
-	}
-	return base.Stats(), out, nil
+	return o.products(), nil
 }

@@ -300,3 +300,24 @@ func TestAnalyzeFileObserverPanicIsolated(t *testing.T) {
 type panicObserver struct{}
 
 func (panicObserver) Observe(e *trace.Event) { panic("observer bomb") }
+
+// TestExperimentObserversRejectsModelProducts checks the exported builder
+// serves only the streaming experiments: the model products need static
+// counts a caller of ExperimentObservers does not supply.
+func TestExperimentObserversRejectsModelProducts(t *testing.T) {
+	for _, id := range []string{"model", "correlation", "fig5", "REUSE"} {
+		if _, _, err := ExperimentObservers(predictor.KindLast, []string{"reuse", id}); !errors.Is(err, ErrConfig) {
+			t.Errorf("%q: err = %v, want ErrConfig", id, err)
+		}
+	}
+	obs, collect, err := ExperimentObservers(predictor.KindLast, StreamingExperiments())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(obs) != 8 { // reuse, ilp, confidence, and the baseline plus 4 speculation thresholds
+		t.Errorf("%d observers, want 8", len(obs))
+	}
+	if p := collect("x"); p.Reuse == nil || p.Reuse.Name != "x" || len(p.ILP) != 1 || len(p.Speculation) != 5 {
+		t.Errorf("products %+v", p)
+	}
+}

@@ -8,7 +8,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -275,25 +275,20 @@ func parseExperiments(q string) ([]string, error) {
 	if strings.TrimSpace(q) == "" {
 		return nil, nil
 	}
-	known := map[string]bool{"reuse": true, "ilp": true, "confidence": true, "speculation": true}
-	seen := make(map[string]bool)
+	known := core.StreamingExperiments()
 	var out []string
 	for _, part := range strings.Split(q, ",") {
 		name := strings.ToLower(strings.TrimSpace(part))
 		if name == "" {
 			continue
 		}
-		if !known[name] {
-			return nil, fmt.Errorf("server: unknown experiment %q (want reuse, ilp, confidence, speculation)", name)
+		if !slices.Contains(known, name) {
+			return nil, fmt.Errorf("server: unknown experiment %q (want %s)", name, strings.Join(known, ", "))
 		}
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
 		out = append(out, name)
 	}
-	sort.Strings(out)
-	return out, nil
+	slices.Sort(out)
+	return slices.Compact(out), nil
 }
 
 // writeWireResponse sends a /result success: the dpg wire envelope bytes,
@@ -553,10 +548,11 @@ func (s *Server) runJob(j *job) {
 // (the work, not the job) and decodes each block inline. Both run the one
 // sequential model pass.
 // Requested experiments ride the model's decode as streaming observers
-// (core.WithObservers), so a multi-experiment job still reads the spooled
-// trace exactly once. A wire job returns dpg.EncodeResult bytes instead of
-// the report payload — the same model run, so degraded mode changes how
-// the answer is computed but never the bytes.
+// (core.WithObservers), built by core.ExperimentObservers with the
+// figures suite's parameters, so a multi-experiment job still reads the
+// spooled trace exactly once. A wire job returns dpg.EncodeResult bytes
+// instead of the report payload — the same model run, so degraded mode
+// changes how the answer is computed but never the bytes.
 func (s *Server) analyze(j *job) (*analysisPayload, []byte, *JobError) {
 	start := time.Now()
 	if err := s.store.Probe(j.ctx, j.path); err != nil {
@@ -564,48 +560,18 @@ func (s *Server) analyze(j *job) (*analysisPayload, []byte, *JobError) {
 		// store failures here.
 		return nil, nil, classifyJobErr(err)
 	}
-	var (
-		reuseSim *analysis.ReuseSim
-		ilpSim   *analysis.ILPSim
-		confSim  *analysis.ConfidenceSim
-		specSims []*analysis.SpecSim
-		obs      []analysis.Observer
-	)
-	for _, name := range j.experiments {
-		switch name {
-		case "reuse":
-			reuseSim = analysis.NewReuseSim("", 16)
-			obs = append(obs, reuseSim)
-		case "ilp":
-			ilpSim = analysis.NewILPSim("", j.kind)
-			obs = append(obs, ilpSim)
-		case "confidence":
-			confSim = analysis.NewConfidenceSim(j.kind, 7)
-			obs = append(obs, confSim)
-		case "speculation":
-			// No-speculation baseline (threshold above saturation) plus
-			// the suite's threshold sweep.
-			for _, th := range []uint8{8, 0, 1, 3, 7} {
-				sim := analysis.NewSpecSim("", j.kind, analysis.SpecConfig{
-					Width: 64, Threshold: th, MaxConfidence: 7, Penalty: 8,
-				})
-				specSims = append(specSims, sim)
-				obs = append(obs, sim)
-			}
-		}
+	obs, collect, err := core.ExperimentObservers(j.kind, j.experiments)
+	if err != nil {
+		return nil, nil, classifyJobErr(err)
 	}
 	var st trace.Stats
-	opts := []core.Option{
+	s.metrics.computations.Add(1)
+	res, err := core.AnalyzeFile(j.path,
 		core.WithKind(j.kind),
 		core.WithContext(j.ctx),
 		core.WithTraceStats(&st),
 		core.WithWorkers(j.decode),
-	}
-	if len(obs) > 0 {
-		opts = append(opts, core.WithObservers(obs...))
-	}
-	s.metrics.computations.Add(1)
-	res, err := core.AnalyzeFile(j.path, opts...)
+		core.WithObservers(obs...))
 	s.metrics.analyzeHist.observe(time.Since(start))
 	if err != nil {
 		return nil, nil, classifyJobErr(err)
@@ -619,24 +585,10 @@ func (s *Server) analyze(j *job) (*analysisPayload, []byte, *JobError) {
 	}
 	var exp *experimentsPayload
 	if len(obs) > 0 {
-		exp = &experimentsPayload{}
-		if reuseSim != nil {
-			rs := reuseSim.Stats()
-			rs.Name = res.Name
-			exp.Reuse = &rs
-		}
-		if ilpSim != nil {
-			is := ilpSim.Stats()
-			is.Name = res.Name
-			exp.ILP = &is
-		}
-		if confSim != nil {
-			exp.Confidence = confSim.Points()
-		}
-		for _, sim := range specSims {
-			ss := sim.Stats()
-			ss.Name = res.Name
-			exp.Speculation = append(exp.Speculation, ss)
+		p := collect(res.Name)
+		exp = &experimentsPayload{Reuse: p.Reuse, Confidence: p.Confidence, Speculation: p.Speculation}
+		if len(p.ILP) > 0 {
+			exp.ILP = &p.ILP[0]
 		}
 	}
 	return &analysisPayload{
